@@ -134,14 +134,7 @@ object HdIndex {
     val rd  = model.refs.map(r => Distance.l2(vec, r).toFloat)
     val trees = model.trees.map { tr =>
       val key = Hilbert(tr.width, cfg.omega).encodeVector(vec, tr.fromDim, cfg.lo, cfg.hi)
-      // insertion point: first entry with (key, id) greater than the new one
-      var lo = 0
-      var hi = tr.keys.length
-      while (lo < hi) {
-        val mid = (lo + hi) >>> 1
-        val c = Hilbert.compareKeys(tr.keys(mid), key)
-        if (c < 0 || (c == 0 && tr.ids(mid) < id)) lo = mid + 1 else hi = mid
-      }
+      val lo  = HdQuery.lowerBound(tr.keys, tr.ids, key, id)
       val nk = new Array[Array[Byte]](tr.keys.length + 1)
       val ni = new Array[Long](tr.ids.length + 1)
       System.arraycopy(tr.keys, 0, nk, 0, lo); nk(lo) = key

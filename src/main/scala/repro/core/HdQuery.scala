@@ -8,7 +8,11 @@ import repro.VecRow
   * α/β = 1 and β/γ = 4.
   */
 final case class QueryParams(k: Int, alpha: Int, beta: Int, gamma: Int,
-                             usePtolemaic: Boolean = false)
+                             usePtolemaic: Boolean = false) {
+  require(k > 0, s"k must be positive, got $k")
+  require(0 < gamma && gamma <= beta && beta <= alpha,
+          s"need 0 < gamma <= beta <= alpha, got alpha=$alpha beta=$beta gamma=$gamma")
+}
 
 object QueryParams {
   /** Recommended setting for a dataset of size n: α = 4096 scaled with n
@@ -29,12 +33,17 @@ final case class QueryStats(leafPages: Long, randomAccesses: Long, kappa: Int)
 /** kANN querying over a built HD-Index (Algo. 2). Two equivalent paths:
   *
   *  - [[searchLocal]] walks the driver-side sorted trees (the per-query
-  *    timing path — one binary search + window scan per tree);
+  *    timing path);
   *  - [[searchSpark]] runs the candidate-window retrieval as a distributed
   *    `mapPartitions` scan over the range-partitioned index Dataset with
   *    per-partition pruning, then applies the identical filter pipeline.
   *
-  * A test asserts both return identical answers.
+  * A test asserts both return identical answers. Per tree, both choose the
+  * α-window by binary search ([[selectWindow]]: O(log n + log α) key
+  * comparisons). The rest of a query runs in primitive arrays reused across
+  * the τ trees: the filters cut to β and γ by in-place selection over packed
+  * (bound, position) longs, the survivors are de-duplicated by sorting, and
+  * the exact rerank keeps a bounded (distance, id) max-heap.
   */
 object HdQuery {
 
@@ -84,100 +93,259 @@ object HdQuery {
     lo
   }
 
-  /** The α entries nearest to qkey in one-dimensional key order: a
-    * contiguous window around the insertion point, grown outward one entry
-    * at a time toward the numerically closer side (ties go left). Returns
-    * [start, end) over `keys`.
+  /** Index of the first entry >= (qkey, id) in (key, id) order, the order
+    * of a tree's aligned `keys` and `ids`: where a new entry is inserted.
+    */
+  def lowerBound(keys: Array[Array[Byte]], ids: Array[Long], qkey: Array[Byte], id: Long): Int = {
+    var lo = 0
+    var hi = keys.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      val c = Hilbert.compareKeys(keys(mid), qkey)
+      if (c < 0 || (c == 0 && ids(mid) < id)) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
+  /** The α entries nearest to qkey in one-dimensional key order, as
+    * [start, end) over `keys`: the window that a greedy merge outward from
+    * the insertion point pos takes when it grows one entry at a time toward
+    * the numerically closer side, ties going left. Its size is w = min(α, n).
+    *
+    * The start is found by binary search over s ∈ [max(0, pos − w),
+    * min(pos, n − w)]. There, entry s lies left of pos and s + w right of
+    * it, and the merge takes s before s + w iff
+    * qkey − keys(s) ≤ keys(s + w) − qkey (both sides are sorted by distance
+    * from qkey, and ties go left). The window is a prefix of the merge
+    * order, so it holds s and not s + w exactly when s ≥ start: the
+    * predicate is false below the start and true from it on. A tree costs
+    * O(log n + log α) key comparisons, whatever α is.
     */
   def selectWindow(keys: Array[Array[Byte]], qkey: Array[Byte], alpha: Int): (Int, Int) = {
-    if (keys.isEmpty) return (0, 0)
+    require(alpha >= 0, s"alpha must be non-negative, got $alpha")
+    val n = keys.length
+    val w = math.min(alpha, n)
     val pos = lowerBound(keys, qkey)
-    // scratch buffers: keys(l) < qkey <= keys(r) by construction, so both
-    // differences are non-negative and comparable byte-wise
+    // keys(s) < qkey <= keys(s + w) inside the range, so both differences
+    // are non-negative and comparable byte-wise
     val dl = new Array[Byte](qkey.length)
     val dr = new Array[Byte](qkey.length)
-    var l = pos - 1
-    var r = pos
-    var taken = 0
-    while (taken < alpha && (l >= 0 || r < keys.length)) {
-      val takeLeft =
-        if (l < 0) false
-        else if (r >= keys.length) true
-        else {
-          Hilbert.subtract(qkey, keys(l), dl)
-          Hilbert.subtract(keys(r), qkey, dr)
-          Hilbert.compareKeys(dl, dr) <= 0
-        }
-      if (takeLeft) l -= 1 else r += 1
-      taken += 1
+    var lo = math.max(0, pos - w)
+    var hi = math.min(pos, n - w)
+    while (lo < hi) {
+      val s = (lo + hi) >>> 1
+      Hilbert.subtract(qkey, keys(s), dl)
+      Hilbert.subtract(keys(s + w), qkey, dr)
+      if (Hilbert.compareKeys(dl, dr) <= 0) hi = s else lo = s + 1
     }
-    (l + 1, r)
+    (lo, lo + w)
   }
 
   // ---- filter pipeline (shared by both paths) ---------------------------
 
-  /** Sort window positions by a non-negative bound: pack the bound's float
-    * bits (order-preserving for non-negative floats) with the position into
-    * one long and primitive-sort — no boxing on the α-sized hot path. Ties
-    * break by window position, i.e. (hilbert key, id) order, identically in
-    * the local and distributed paths.
+  /** A non-negative bound's float bits (order-preserving for non-negative
+    * floats) above a position: longs that order by (bound, position), so
+    * ties break by position, identically in the local and distributed paths.
     */
-  private def orderByBound(n: Int, bound: Int => Double): Array[Long] = {
-    val packed = new Array[Long](n)
+  private def pack(bound: Double, pos: Int): Long =
+    (java.lang.Float.floatToIntBits(bound.toFloat).toLong << 32) | pos.toLong
+
+  /** Rearranges a[0, n) so that a[0, k) holds its k smallest values, in no
+    * particular order (quickselect with median-of-three pivots).
+    */
+  private def selectSmallest(a: Array[Long], n: Int, k: Int): Unit = {
+    if (k <= 0 || k >= n) return
+    val t = k - 1
+    var lo = 0
+    var hi = n - 1
+    while (lo < hi) {
+      val x = a(lo); val y = a((lo + hi) >>> 1); val z = a(hi)
+      val pivot = math.max(math.min(x, y), math.min(math.max(x, y), z))
+      var i = lo
+      var j = hi
+      while (i <= j) {
+        while (a(i) < pivot) i += 1
+        while (a(j) > pivot) j -= 1
+        if (i <= j) {
+          val tmp = a(i); a(i) = a(j); a(j) = tmp
+          i += 1; j -= 1
+        }
+      }
+      // a[lo, j] <= pivot <= a[i, hi], and a(j + 1 until i) == pivot
+      if (t <= j) hi = j
+      else if (t >= i) lo = i
+      else return
+    }
+  }
+
+  /** One query's filter and rerank state (Algo. 2 lines 5–16), in
+    * primitive arrays sized once per query and reused by every tree.
+    *
+    * @param maxWindow the largest window any tree can return, min(α, n)
+    */
+  private final class Kernel(dq: Array[Double], refMatrix: Array[Array[Double]], p: QueryParams,
+                             maxWindow: Int, trees: Int) {
+    private val packed    = new Array[Long](maxWindow)
+    private val betaPos   = new Array[Int](if (p.usePtolemaic) math.min(maxWindow, p.beta) else 0)
+    private val survivors = new Array[Long](trees * math.min(maxWindow, p.gamma))
+    private var nSurvivors = 0
+
+    /** Lines 5–10 for the window [s, e) of one tree: triangular filter,
+      * optional Ptolemaic filter, and the γ surviving ids kept.
+      * `refdists(i)` holds the reference distances of entry i of `ids`.
+      */
+    def filter(ids: Array[Long], s: Int, e: Int, refdists: Int => Array[Float]): Unit = {
+      val w = e - s
+      var i = 0
+      while (i < w) {
+        packed(i) = pack(triBound(dq, refdists(s + i)), i)
+        i += 1
+      }
+      if (!p.usePtolemaic) {
+        val g = math.min(w, p.gamma)
+        selectSmallest(packed, w, g)
+        i = 0
+        while (i < g) {
+          survivors(nSurvivors) = ids(s + packed(i).toInt)
+          nSurvivors += 1
+          i += 1
+        }
+      } else {
+        val b = math.min(w, p.beta)
+        selectSmallest(packed, w, b)
+        // the rank j in triangular order breaks ties of the Ptolemaic bound
+        java.util.Arrays.sort(packed, 0, b)
+        var j = 0
+        while (j < b) {
+          betaPos(j) = s + packed(j).toInt
+          packed(j) = pack(ptolemaicBound(dq, refdists(betaPos(j)), refMatrix), j)
+          j += 1
+        }
+        val g = math.min(b, p.gamma)
+        selectSmallest(packed, b, g)
+        j = 0
+        while (j < g) {
+          survivors(nSurvivors) = ids(betaPos(packed(j).toInt))
+          nSurvivors += 1
+          j += 1
+        }
+      }
+    }
+
+    /** Lines 11–16: the distinct survivors not marked deleted (Sec. 3.6)
+      * are the κ candidates; returns their top-k by exact distance,
+      * ascending by (distance, id), and κ.
+      */
+    def answer(q: Array[Float], getVec: Long => Array[Float], k: Int,
+               deleted: scala.collection.Set[Long]): (Array[(Long, Double)], Int) = {
+      java.util.Arrays.sort(survivors, 0, nSurvivors)
+      val anyDeleted = deleted.nonEmpty
+      var kappa = 0
+      var i = 0
+      while (i < nSurvivors) {
+        val id = survivors(i)
+        if ((i == 0 || id != survivors(i - 1)) && !(anyDeleted && deleted.contains(id))) {
+          survivors(kappa) = id // kappa <= i, and survivors(i - 1) is only ever rewritten to itself
+          kappa += 1
+        }
+        i += 1
+      }
+      (rerank(survivors, kappa, q, getVec, k), kappa)
+    }
+  }
+
+  /** (d1, id1) < (d2, id2), distances by `java.lang.Double.compare`. */
+  private def before(d1: Double, id1: Long, d2: Double, id2: Long): Boolean = {
+    val c = java.lang.Double.compare(d1, d2)
+    c < 0 || (c == 0 && id1 < id2)
+  }
+
+  /** The k nearest of the distinct ids(0 until n) to q, ascending by
+    * (distance, id), through a bounded max-heap on (distance, id) held in
+    * two primitive arrays; tuples are built only for the answer.
+    */
+  private def rerank(ids: Array[Long], n: Int, q: Array[Float], getVec: Long => Array[Float],
+                     k: Int): Array[(Long, Double)] = {
+    val cap = math.min(k, n)
+    val hd = new Array[Double](cap)
+    val hid = new Array[Long](cap)
+    // restore the heap below slot `from` of heap[0, size) after it took (d, id)
+    def siftDown(from: Int, size: Int, d: Double, id: Long): Unit = {
+      var at = from
+      var child = 2 * at + 1
+      while (child < size) {
+        if (child + 1 < size && before(hd(child), hid(child), hd(child + 1), hid(child + 1))) child += 1
+        if (before(d, id, hd(child), hid(child))) {
+          hd(at) = hd(child); hid(at) = hid(child)
+          at = child
+          child = 2 * at + 1
+        } else child = size
+      }
+      hd(at) = d; hid(at) = id
+    }
+    var size = 0
+    var c = 0
+    while (c < n) {
+      val id = ids(c)
+      val d = Distance.l2(getVec(id), q)
+      if (size < cap) {
+        var at = size
+        while (at > 0 && before(hd((at - 1) / 2), hid((at - 1) / 2), d, id)) {
+          val parent = (at - 1) / 2
+          hd(at) = hd(parent); hid(at) = hid(parent)
+          at = parent
+        }
+        hd(at) = d; hid(at) = id
+        size += 1
+      } else if (before(d, id, hd(0), hid(0))) siftDown(0, size, d, id)
+      c += 1
+    }
+    // heap sort: move the current worst behind the shrinking heap
+    var m = size
+    while (m > 1) {
+      m -= 1
+      val d = hd(m); val id = hid(m)
+      hd(m) = hd(0); hid(m) = hid(0)
+      siftDown(0, m, d, id)
+    }
+    Array.tabulate(size)(i => (hid(i), hd(i)))
+  }
+
+  /** Wrong-dimension and NaN queries fail here instead of deep in the
+    * Hilbert encoder, which would read past a short vector, use a prefix of
+    * a long one, or map NaN to cell 0.
+    */
+  private def checkQuery(q: Array[Float], dim: Int): Unit = {
+    require(q.length == dim, s"query has ${q.length} dimensions, the index has $dim")
     var i = 0
-    while (i < n) {
-      packed(i) = (java.lang.Float.floatToIntBits(bound(i).toFloat).toLong << 32) | i.toLong
+    while (i < q.length) {
+      require(!q(i).isNaN, s"query coordinate $i is NaN")
       i += 1
     }
-    java.util.Arrays.sort(packed)
-    packed
   }
-
-  /** Algo. 2 lines 5–10 for one tree: window candidates -> triangular filter
-    * -> (optional) Ptolemaic filter -> γ surviving ids.
-    */
-  private def filterTree(ids: Array[Long], refdists: Int => Array[Float],
-                         dq: Array[Double], refMatrix: Array[Array[Double]],
-                         p: QueryParams): Array[Long] = {
-    val n = ids.length
-    val byTri = orderByBound(n, i => triBound(dq, refdists(i)))
-    if (!p.usePtolemaic) {
-      byTri.take(math.min(n, p.gamma)).map(pk => ids((pk & 0xffffffffL).toInt))
-    } else {
-      val beta = byTri.take(math.min(n, p.beta)).map(pk => (pk & 0xffffffffL).toInt)
-      val byPto = orderByBound(beta.length, j => ptolemaicBound(dq, refdists(beta(j)), refMatrix))
-      byPto.take(math.min(beta.length, p.gamma)).map(pk => ids(beta((pk & 0xffffffffL).toInt)))
-    }
-  }
-
-  /** Algo. 2 lines 11–16: fetch candidate descriptors, rank by exact
-    * distance, return top-k (sorted ascending by (distance, id)).
-    */
-  private def finalizeAnswer(cands: Set[Long], q: Array[Float], getVec: Long => Array[Float],
-                             k: Int): Array[(Long, Double)] =
-    Distance.topK(cands.iterator.map(id => id -> Distance.l2(getVec(id), q)), k)
 
   // ---- local path -------------------------------------------------------
 
   def searchLocal(model: HdIndexModel, q: Array[Float], p: QueryParams,
                   getVec: Long => Array[Float]): (Array[(Long, Double)], QueryStats) = {
     val cfg = model.cfg
+    checkQuery(q, cfg.dim)
     val dq  = model.refs.map(r => Distance.l2(q, r))
+    val kernel = new Kernel(dq, model.refMatrix, p, math.min(p.alpha.toLong, model.n).toInt,
+                            model.trees.length)
     var pages = 0L
-    val cands = scala.collection.mutable.Set.empty[Long]
     var t = 0
     while (t < model.trees.length) {
       val tree  = model.trees(t)
       val qkey  = Hilbert(tree.width, cfg.omega).encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
       val (s, e) = selectWindow(tree.keys, qkey, p.alpha)
-      val ids = java.util.Arrays.copyOfRange(tree.ids, s, e)
-      cands ++= filterTree(ids, i => model.refdistsById(ids(i).toInt), dq, model.refMatrix, p)
+      val ids = tree.ids
+      kernel.filter(ids, s, e, i => model.refdistsById(ids(i).toInt))
       pages += model.treeHeight(t) + (e - s + model.leafOrder(t) - 1) / model.leafOrder(t)
       t += 1
     }
-    cands --= model.deleted // Sec. 3.6: marked objects are never answers
-    val ans = finalizeAnswer(cands.toSet, q, getVec, p.k)
-    (ans, QueryStats(pages, cands.size.toLong, cands.size))
+    val (ans, kappa) = kernel.answer(q, getVec, p.k, model.deleted)
+    (ans, QueryStats(pages, kappa.toLong, kappa))
   }
 
   // ---- distributed path -------------------------------------------------
@@ -193,6 +361,7 @@ object HdQuery {
                   p: QueryParams, getVec: Long => Array[Float]): Array[Array[(Long, Double)]] = {
     import spark.implicits._
     val cfg  = model.cfg
+    queries.foreach(qr => checkQuery(qr.vec, cfg.dim))
     val qKeys: Array[Array[Array[Byte]]] = queries.map { qr =>
       model.trees.map(tr => Hilbert(tr.width, cfg.omega).encodeVector(qr.vec, tr.fromDim, cfg.lo, cfg.hi))
     }
@@ -221,7 +390,8 @@ object HdQuery {
     val byQuery = windows.groupBy(_._1)
     queries.indices.toArray.map { qi =>
       val dq = model.refs.map(r => Distance.l2(queries(qi).vec, r))
-      val cands = scala.collection.mutable.Set.empty[Long]
+      val kernel = new Kernel(dq, model.refMatrix, p, math.min(p.alpha.toLong, model.n).toInt,
+                              model.trees.length)
       val perTree = byQuery.getOrElse(qi, Array.empty).groupBy(_._2)
       model.trees.foreach { tr =>
         val es = perTree.getOrElse(tr.treeId, Array.empty)
@@ -231,12 +401,9 @@ object HdQuery {
           }
         val keys = es.map(_._3)
         val (s, e) = selectWindow(keys, qKeys(qi)(tr.treeId), p.alpha)
-        val ids = es.slice(s, e).map(_._4)
-        val rds = es.slice(s, e).map(_._5)
-        cands ++= filterTree(ids, i => rds(i), dq, model.refMatrix, p)
+        kernel.filter(es.map(_._4), s, e, i => es(i)._5)
       }
-      cands --= model.deleted
-      finalizeAnswer(cands.toSet, queries(qi).vec, getVec, p.k)
+      kernel.answer(queries(qi).vec, getVec, p.k, model.deleted)._1
     }
   }
 }

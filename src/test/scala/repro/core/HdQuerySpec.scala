@@ -1,6 +1,7 @@
 package repro.core
 
-import repro.{Oracle, SparkSpec, TestFixtures, VecRow}
+import org.scalacheck.Gen
+import repro.{Oracle, PropHelpers, SparkSpec, TestFixtures, VecRow}
 import repro.baselines.LinearScan
 
 class HdQuerySpec extends SparkSpec {
@@ -15,6 +16,14 @@ class HdQuerySpec extends SparkSpec {
     assert(HdQuery.lowerBound(keys, key1d(3)) == 1)
     assert(HdQuery.lowerBound(keys, key1d(4)) == 2)
     assert(HdQuery.lowerBound(keys, key1d(9)) == 4)
+    // (key, id) order: equal keys are ordered by id
+    val dupKeys = Array(1L, 3L, 3L, 3L, 7L).map(key1d)
+    val ids     = Array(0L, 2L, 5L, 9L, 1L)
+    assert(HdQuery.lowerBound(dupKeys, ids, key1d(0), 4L) == 0)
+    assert(HdQuery.lowerBound(dupKeys, ids, key1d(3), 0L) == 1)
+    assert(HdQuery.lowerBound(dupKeys, ids, key1d(3), 4L) == 2)
+    assert(HdQuery.lowerBound(dupKeys, ids, key1d(3), 10L) == 4)
+    assert(HdQuery.lowerBound(dupKeys, ids, key1d(9), 0L) == 5)
   }
 
   test("selectWindow picks the numerically nearest alpha keys") {
@@ -44,6 +53,78 @@ class HdQuerySpec extends SparkSpec {
       assert(e - s == 7)
       assert(s >= 0 && e <= keys.length)
     }
+  }
+
+  test("selectWindow rejects a negative alpha") {
+    val keys = Array(10L, 20L, 30L).map(key1d)
+    intercept[IllegalArgumentException](HdQuery.selectWindow(keys, key1d(15), -1))
+  }
+
+  /** The window as an outward greedy merge: one entry at a time toward the
+    * numerically closer side, ties going left. [[HdQuery.selectWindow]]
+    * must return the same (start, end).
+    */
+  private def greedyWindow(keys: Array[Array[Byte]], qkey: Array[Byte], alpha: Int): (Int, Int) = {
+    val pos = HdQuery.lowerBound(keys, qkey)
+    val dl = new Array[Byte](qkey.length)
+    val dr = new Array[Byte](qkey.length)
+    var l = pos - 1
+    var r = pos
+    var taken = 0
+    while (taken < alpha && (l >= 0 || r < keys.length)) {
+      val takeLeft =
+        if (l < 0) false
+        else if (r >= keys.length) true
+        else {
+          Hilbert.subtract(qkey, keys(l), dl)
+          Hilbert.subtract(keys(r), qkey, dr)
+          Hilbert.compareKeys(dl, dr) <= 0
+        }
+      if (takeLeft) l -= 1 else r += 1
+      taken += 1
+    }
+    (l + 1, r)
+  }
+
+  test("selectWindow equals the greedy outward merge (property)") {
+    // Bytes come from {00, 01, 02, FF}, and only the last 1-3 bytes of a
+    // key vary, so duplicate keys, equal distances on both sides and
+    // borrows across bytes are all common, at 128-byte width too.
+    val alphabet = Array[Byte](0, 1, 2, -1)
+    val caseGen = for {
+      width   <- Gen.oneOf(1, 2, 3, 4, 128)
+      varying <- Gen.choose(1, math.min(width, 3))
+      n       <- Gen.choose(0, 40)
+      alpha   <- Gen.choose(0, n + 2)
+      qkind   <- Gen.choose(0, 3)
+      seed    <- Gen.choose(0L, Long.MaxValue)
+    } yield (width, varying, n, alpha, qkind, seed)
+    var ties = 0
+    PropHelpers.forAllSamples(caseGen, n = 20000) { case (width, varying, n, alpha, qkind, seed) =>
+      val rng = new scala.util.Random(seed)
+      val prefix = Array.fill(width - varying)(alphabet(rng.nextInt(4)))
+      def draw(): Array[Byte] = prefix ++ Array.fill(varying)(alphabet(rng.nextInt(4)))
+      val keys = Array.fill(n)(draw()).sorted(Hilbert.keyOrdering)
+      val qkey = qkind match {
+        case 0 if n > 0 => keys(rng.nextInt(n)) // equal to a key
+        case 1 => Array.fill(width)(0.toByte)   // at or below every key
+        case 2 => Array.fill(width)(-1.toByte)  // at or above every key
+        case _ => draw()
+      }
+      val expect = greedyWindow(keys, qkey, alpha)
+      assert(HdQuery.selectWindow(keys, qkey, alpha) == expect,
+             s"width=$width n=$n alpha=$alpha query=${Hilbert.hex(qkey)}")
+      // a tie decided at the window's edge: keys(s) went in, keys(e) did not
+      val (s, e) = expect
+      if (s < HdQuery.lowerBound(keys, qkey) && e < n) {
+        val dl = new Array[Byte](width)
+        val dr = new Array[Byte](width)
+        Hilbert.subtract(qkey, keys(s), dl)
+        Hilbert.subtract(keys(e), qkey, dr)
+        if (Hilbert.compareKeys(dl, dr) == 0) ties += 1
+      }
+    }
+    assert(ties > 0, "no case had a tie at the window's edge")
   }
 
   // --- end-to-end ---------------------------------------------------------
@@ -110,6 +191,102 @@ class HdQuerySpec extends SparkSpec {
     for (qi <- 0 until 5) {
       val (ans, _) = HdQuery.searchLocal(model, queries(qi).vec, p, TestFixtures.getVec)
       assert(ans.map(_._1).toSeq == truth(qi).take(10).map(_._1).toSeq)
+    }
+  }
+
+  test("QueryParams rejects k <= 0 and alpha, beta, gamma out of order") {
+    assert(QueryParams(3, 2, 2, 2).gamma == 2)
+    intercept[IllegalArgumentException](QueryParams(0, 64, 16, 16))
+    intercept[IllegalArgumentException](QueryParams(10, 64, 16, 0))  // gamma = 0
+    intercept[IllegalArgumentException](QueryParams(10, 64, 16, 32)) // gamma > beta
+    intercept[IllegalArgumentException](QueryParams(10, 64, 128, 32, usePtolemaic = true)) // beta > alpha
+    intercept[IllegalArgumentException](params.copy(k = -1))
+  }
+
+  test("searchLocal rejects a query of the wrong dimension or with NaN") {
+    val dim = model.cfg.dim
+    for (len <- Seq(dim - 1, dim + 1)) {
+      val e = intercept[IllegalArgumentException](
+        HdQuery.searchLocal(model, new Array[Float](len), params, TestFixtures.getVec))
+      assert(e.getMessage.contains(s"query has $len dimensions"), e.getMessage)
+    }
+    val q = queries(0).vec.clone()
+    q(dim / 2) = Float.NaN
+    val e = intercept[IllegalArgumentException](
+      HdQuery.searchLocal(model, q, params, TestFixtures.getVec))
+    assert(e.getMessage.contains("NaN"), e.getMessage)
+  }
+
+  /** [[HdQuery.searchLocal]] as it was before its primitive kernel: greedy
+    * window, full sort of the packed (bound, position) longs, a
+    * `mutable.Set` union and [[Distance.topK]]. The kernel must equal it.
+    */
+  private def pipelineReference(m: HdIndexModel, q: Array[Float], p: QueryParams,
+                                getVec: Long => Array[Float]): (Array[(Long, Double)], QueryStats) = {
+    def orderByBound(n: Int, bound: Int => Double): Array[Long] = {
+      val packed = Array.tabulate(n) { i =>
+        (java.lang.Float.floatToIntBits(bound(i).toFloat).toLong << 32) | i.toLong
+      }
+      java.util.Arrays.sort(packed)
+      packed
+    }
+    val cfg = m.cfg
+    val dq = m.refs.map(r => Distance.l2(q, r))
+    var pages = 0L
+    val cands = scala.collection.mutable.Set.empty[Long]
+    m.trees.indices.foreach { t =>
+      val tree = m.trees(t)
+      val qkey = Hilbert(tree.width, cfg.omega).encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
+      val (s, e) = greedyWindow(tree.keys, qkey, p.alpha)
+      val ids = java.util.Arrays.copyOfRange(tree.ids, s, e)
+      val rd: Int => Array[Float] = i => m.refdistsById(ids(i).toInt)
+      val n = ids.length
+      val byTri = orderByBound(n, i => HdQuery.triBound(dq, rd(i)))
+      cands ++= (
+        if (!p.usePtolemaic) byTri.take(math.min(n, p.gamma)).map(pk => ids(pk.toInt))
+        else {
+          val beta = byTri.take(math.min(n, p.beta)).map(_.toInt)
+          val byPto = orderByBound(beta.length, j => HdQuery.ptolemaicBound(dq, rd(beta(j)), m.refMatrix))
+          byPto.take(math.min(beta.length, p.gamma)).map(pk => ids(beta(pk.toInt)))
+        })
+      pages += m.treeHeight(t) + (e - s + m.leafOrder(t) - 1) / m.leafOrder(t)
+    }
+    cands --= m.deleted
+    val ans = Distance.topK(cands.iterator.map(id => id -> Distance.l2(getVec(id), q)), p.k)
+    (ans, QueryStats(pages, cands.size.toLong, cands.size))
+  }
+
+  test("searchLocal equals the sort/Set/topK pipeline (answers and stats)") {
+    val n = model.n.toInt
+    val settings = Seq(
+      params,
+      QueryParams(10, 256, 256, 32, usePtolemaic = true),
+      QueryParams(10, 256, 64, 16, usePtolemaic = true),
+      QueryParams(10, 64, 64, 64),                      // gamma = window size
+      QueryParams(10, 64, 64, 64, usePtolemaic = true),
+      QueryParams(100, 64, 32, 8, usePtolemaic = true), // fewer candidates than k
+      QueryParams(10, n + 5, n + 5, 100),               // alpha >= n
+      QueryParams(10, n + 5, 300, 100, usePtolemaic = true))
+    // a private copy of the model, so marks don't leak into shared fixtures
+    val withDeletes = new HdIndexModel(model.cfg, model.n, model.refIds, model.refs, model.refMatrix,
+                                       model.entries, model.trees, model.refdistsById, model.buildMillis)
+    withDeletes.deleted ++= truth.take(10).flatMap(_.take(3).map(_._1)) ++ (0L until model.n by 7L)
+    // two more copies of each query's 20 nearest objects: equal vectors have
+    // equal bounds, so ties at the beta and gamma cuts are common
+    val copied = truth.flatMap(_.take(20).map(_._1)).distinct
+    val source = copied ++ copied
+    val withCopies = source.indices.foldLeft(model) { (m, i) =>
+      HdIndex.insert(m, m.n, TestFixtures.getVec(source(i)))
+    }
+    val getCopy: Long => Array[Float] =
+      id => TestFixtures.getVec(if (id < model.n) id else source((id - model.n).toInt))
+    for ((m, getVec) <- Seq(model -> TestFixtures.getVec _, withDeletes -> TestFixtures.getVec _,
+                            withCopies -> getCopy);
+         p <- settings; qr <- queries) {
+      val (ans, stats) = HdQuery.searchLocal(m, qr.vec, p, getVec)
+      val (refAns, refStats) = pipelineReference(m, qr.vec, p, getVec)
+      assert(ans.toSeq == refAns.toSeq, s"answers differ for query ${qr.id} under $p")
+      assert(stats == refStats, s"stats differ for query ${qr.id} under $p")
     }
   }
 
