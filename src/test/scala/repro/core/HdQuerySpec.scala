@@ -290,6 +290,29 @@ class HdQuerySpec extends SparkSpec {
     }
   }
 
+  /** SHA-256 over each tiny query's answer list: its length, then every
+    * (id, distance bits) in order.
+    */
+  private def answerDigest(p: QueryParams): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    val buf = java.nio.ByteBuffer.allocate(16)
+    queries.foreach { qr =>
+      val (ans, _) = HdQuery.searchLocal(model, qr.vec, p, TestFixtures.getVec)
+      md.update(buf.clear().putLong(ans.length.toLong).array(), 0, 8)
+      ans.foreach { case (id, d) =>
+        md.update(buf.clear().putLong(id).putLong(java.lang.Double.doubleToLongBits(d)).array())
+      }
+    }
+    md.digest().map(b => f"$b%02x").mkString
+  }
+
+  test("answers equal the pinned golden digest (triangular and Ptolemaic)") {
+    assert(answerDigest(params) ==
+      "47bcdcb6356b5600c4caa65ace30dd65bd4340132cf4a2767b7ae0bc521a8abc")
+    assert(answerDigest(QueryParams(10, 256, 256, 64, usePtolemaic = true)) ==
+      "97e248be20d4ee2897c299b4df6ba4154d54241cda19fba81f3d8c991130dcf8")
+  }
+
   test("query stats count pages and candidate accesses") {
     val (_, stats) = HdQuery.searchLocal(model, queries(0).vec, params, TestFixtures.getVec)
     assert(stats.leafPages > 0)
