@@ -50,13 +50,16 @@ object BuildIndexJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.get("hdindex-build")
     val spec = VectorData.byName(args.headOption.getOrElse("sift10k"))
-    val model = HdIndex.build(spark, spec.data(spark), spec.localData, HdIndex.configFor(spec))
+    val data = spec.data(spark)
+    val model = HdIndex.build(spark, data, spec.localData, HdIndex.configFor(spec))
     println(s"built HD-Index on ${spec.name}: n=${model.n} tau=${model.cfg.tau} " +
             s"m=${model.cfg.m} indexMB=${model.indexBytes / 1e6} buildMs=${model.buildMillis}")
     args.lift(1).foreach { out =>
       // IndexEntry is a flat product (binary key, long id, float refdists):
       // the product encoder maps it straight onto a parquet schema.
-      model.entries.write.mode("overwrite").parquet(out)
+      val cfg = model.cfg
+      RdbTree.build(spark, data, model.refs, cfg.dim, cfg.tau, cfg.omega, cfg.lo, cfg.hi)
+        .write.mode("overwrite").parquet(out)
       println(s"entries written to $out")
     }
     spark.stop()

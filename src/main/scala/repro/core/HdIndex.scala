@@ -9,7 +9,12 @@ import repro.{VecRow, VectorData}
 final case class HdIndexConfig(
     dim: Int, tau: Int, omega: Int, lo: Double, hi: Double,
     m: Int = 10, f: Double = 0.3, pageSize: Int = 4096,
-    refMethod: String = "sss", seed: Long = 7)
+    refMethod: String = "sss", seed: Long = 7) {
+  // Hilbert.encodeVector scales by 1 / (hi − lo): an empty or non-finite
+  // domain would map every vector to one clamped cell
+  require(java.lang.Double.isFinite(lo) && java.lang.Double.isFinite(hi) && lo < hi,
+          s"need finite lo < hi, got lo=$lo hi=$hi")
+}
 
 /** Driver-side view of one RDB-tree: entries in global Hilbert-key order.
   * `keys`, `ids` are aligned; reference distances are looked up through the
@@ -28,7 +33,6 @@ final class HdIndexModel(
     val refIds: Array[Int],
     val refs: Array[Array[Float]],
     val refMatrix: Array[Array[Double]],
-    val entries: Dataset[IndexEntry],
     val trees: Array[LocalTree],
     val refdistsById: Array[Array[Float]],
     val buildMillis: Long) extends Serializable {
@@ -88,27 +92,38 @@ object HdIndex {
       (i, j) => Distance.l2(refs(i), refs(j))
     }
 
-    val entries = RdbTree.build(spark, data, refs, cfg.dim, cfg.tau, cfg.omega,
-                                cfg.lo, cfg.hi, cfg.pageSize).cache()
-
-    // Materialize the driver-side sorted view of each tree (the query path's
-    // "disk pages"); a defensive driver-side sort makes the view independent
-    // of collect() partition-order guarantees.
-    val collected = entries.collect()
+    // The build's range partitioning plus per-partition sort is a global
+    // (treeId, hkey, id) sort, and collect() keeps partition order: tree t
+    // is the slice [t·n, (t+1)·n), already in key order. The checks below
+    // cost one pass and fail loudly if that ever stops holding.
+    val collected = RdbTree.build(spark, data, refs, cfg.dim, cfg.tau, cfg.omega,
+                                  cfg.lo, cfg.hi).collect()
     val parts = RdbTree.partitions(cfg.dim, cfg.tau)
-    val n = localData.length.toLong
-    val refdistsById = new Array[Array[Float]](localData.length)
+    val n = localData.length
+    require(collected.length == parts.length.toLong * n,
+            s"build returned ${collected.length} entries, expected ${parts.length} trees of $n")
+    val refdistsById = new Array[Array[Float]](n)
     val trees = parts.zipWithIndex.map { case ((from, width), t) =>
-      val es = collected.filter(_.treeId == t).sortWith { (a, b) =>
-        val c = Hilbert.compareKeys(a.hkey, b.hkey)
-        if (c != 0) c < 0 else a.id < b.id
+      val keys = new Array[Array[Byte]](n)
+      val ids  = new Array[Long](n)
+      var i = 0
+      while (i < n) {
+        val e = collected(t * n + i)
+        require(e.treeId == t, s"entry ${t * n + i} belongs to tree ${e.treeId}, expected tree $t")
+        if (i > 0) {
+          val c = Hilbert.compareKeys(keys(i - 1), e.hkey)
+          require(c < 0 || (c == 0 && ids(i - 1) < e.id),
+                  s"tree $t is not in strict (key, id) order at entry $i")
+        }
+        keys(i) = e.hkey
+        ids(i) = e.id
+        refdistsById(e.id.toInt) = e.refdists
+        i += 1
       }
-      require(es.length == n, s"tree $t has ${es.length} entries, expected $n")
-      es.foreach(e => refdistsById(e.id.toInt) = e.refdists)
-      LocalTree(t, from, width, es.map(_.hkey), es.map(_.id))
+      LocalTree(t, from, width, keys, ids)
     }
 
-    new HdIndexModel(cfg, n, refIds, refs, refMatrix, entries, trees, refdistsById,
+    new HdIndexModel(cfg, n.toLong, refIds, refs, refMatrix, trees, refdistsById,
                      (System.nanoTime() - t0) / 1000000L)
   }
 
@@ -121,9 +136,8 @@ object HdIndex {
   /** Sec. 3.6 insertion: B+-trees are update-friendly, so a new object only
     * needs its τ Hilbert keys and its m reference distances — the reference
     * set R is *not* recomputed (random references perform close to SSS,
-    * Fig. 4, and updates are few relative to n). Updates the driver-side
-    * tree view in place conceptually; the distributed `entries` Dataset is
-    * the bulk-build form and is refreshed by re-running the build job.
+    * Fig. 4, and updates are few relative to n). Each tree gets the new
+    * entry at its (key, id) position.
     *
     * @param id must be the next dense id (== current n)
     * @return a new model sharing cfg/references with the entry inserted
@@ -131,6 +145,7 @@ object HdIndex {
   def insert(model: HdIndexModel, id: Long, vec: Array[Float]): HdIndexModel = {
     require(id == model.n, s"ids must stay dense: expected ${model.n}, got $id")
     val cfg = model.cfg
+    HdQuery.checkQuery(vec, cfg.dim, "inserted vector")
     val rd  = model.refs.map(r => Distance.l2(vec, r).toFloat)
     val trees = model.trees.map { tr =>
       val key = Hilbert(tr.width, cfg.omega).encodeVector(vec, tr.fromDim, cfg.lo, cfg.hi)
@@ -146,11 +161,14 @@ object HdIndex {
     val nrd = java.util.Arrays.copyOf(model.refdistsById, model.refdistsById.length + 1)
     nrd(id.toInt) = rd
     val m2 = new HdIndexModel(cfg, model.n + 1, model.refIds, model.refs, model.refMatrix,
-                              model.entries, trees, nrd, model.buildMillis)
+                              trees, nrd, model.buildMillis)
     m2.deleted ++= model.deleted
     m2
   }
 
   /** Sec. 3.6 deletion: mark only. */
-  def markDeleted(model: HdIndexModel, id: Long): Unit = { model.deleted += id }
+  def markDeleted(model: HdIndexModel, id: Long): Unit = {
+    require(id >= 0 && id < model.n, s"id $id is not in the index [0, ${model.n})")
+    model.deleted += id
+  }
 }

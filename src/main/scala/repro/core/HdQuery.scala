@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
-import repro.VecRow
-
 /** Query-time parameters (Algo. 2). Paper recommendations (Sec. 5.2):
   * triangular-only filtering with α/γ = 4; when Ptolemaic is enabled,
   * α/β = 1 and β/γ = 4.
@@ -30,20 +27,13 @@ object QueryParams {
   */
 final case class QueryStats(leafPages: Long, randomAccesses: Long, kappa: Int)
 
-/** kANN querying over a built HD-Index (Algo. 2). Two equivalent paths:
-  *
-  *  - [[searchLocal]] walks the driver-side sorted trees (the per-query
-  *    timing path);
-  *  - [[searchSpark]] runs the candidate-window retrieval as a distributed
-  *    `mapPartitions` scan over the range-partitioned index Dataset with
-  *    per-partition pruning, then applies the identical filter pipeline.
-  *
-  * A test asserts both return identical answers. Per tree, both choose the
-  * α-window by binary search ([[selectWindow]]: O(log n + log α) key
-  * comparisons). The rest of a query runs in primitive arrays reused across
-  * the τ trees: the filters cut to β and γ by in-place selection over packed
-  * (bound, position) longs, the survivors are de-duplicated by sorting, and
-  * the exact rerank keeps a bounded (distance, id) max-heap.
+/** kANN querying over a built HD-Index (Algo. 2). [[searchLocal]] walks
+  * the driver-side sorted trees. Per tree, it chooses the α-window by binary
+  * search ([[selectWindow]]: O(log n + log α) key comparisons). The rest of
+  * a query runs in primitive arrays reused across the τ trees: the filters
+  * cut to β and γ by in-place selection over packed (bound, position)
+  * longs, the survivors are de-duplicated by sorting, and the exact rerank
+  * keeps a bounded (distance, id) max-heap.
   */
 object HdQuery {
 
@@ -141,11 +131,11 @@ object HdQuery {
     (lo, lo + w)
   }
 
-  // ---- filter pipeline (shared by both paths) ---------------------------
+  // ---- filter pipeline ---------------------------------------------------
 
   /** A non-negative bound's float bits (order-preserving for non-negative
     * floats) above a position: longs that order by (bound, position), so
-    * ties break by position, identically in the local and distributed paths.
+    * ties break by position in the window.
     */
   private def pack(bound: Double, pos: Int): Long =
     (java.lang.Float.floatToIntBits(bound.toFloat).toLong << 32) | pos.toLong
@@ -192,13 +182,12 @@ object HdQuery {
 
     /** Lines 5–10 for the window [s, e) of one tree: triangular filter,
       * optional Ptolemaic filter, and the γ surviving ids kept.
-      * `refdists(i)` holds the reference distances of entry i of `ids`.
       */
-    def filter(ids: Array[Long], s: Int, e: Int, refdists: Int => Array[Float]): Unit = {
+    def filter(ids: Array[Long], s: Int, e: Int, refdistsById: Array[Array[Float]]): Unit = {
       val w = e - s
       var i = 0
       while (i < w) {
-        packed(i) = pack(triBound(dq, refdists(s + i)), i)
+        packed(i) = pack(triBound(dq, refdistsById(ids(s + i).toInt)), i)
         i += 1
       }
       if (!p.usePtolemaic) {
@@ -218,7 +207,7 @@ object HdQuery {
         var j = 0
         while (j < b) {
           betaPos(j) = s + packed(j).toInt
-          packed(j) = pack(ptolemaicBound(dq, refdists(betaPos(j)), refMatrix), j)
+          packed(j) = pack(ptolemaicBound(dq, refdistsById(ids(betaPos(j)).toInt), refMatrix), j)
           j += 1
         }
         val g = math.min(b, p.gamma)
@@ -311,20 +300,21 @@ object HdQuery {
     Array.tabulate(size)(i => (hid(i), hd(i)))
   }
 
-  /** Wrong-dimension and NaN queries fail here instead of deep in the
-    * Hilbert encoder, which would read past a short vector, use a prefix of
-    * a long one, or map NaN to cell 0.
+  /** Wrong-dimension and NaN vectors (queries, and inserted objects named
+    * by `what`) fail here instead of deep in the Hilbert encoder, which
+    * would read past a short vector, use a prefix of a long one, or map NaN
+    * to cell 0.
     */
-  private def checkQuery(q: Array[Float], dim: Int): Unit = {
-    require(q.length == dim, s"query has ${q.length} dimensions, the index has $dim")
+  private[core] def checkQuery(q: Array[Float], dim: Int, what: String = "query"): Unit = {
+    require(q.length == dim, s"$what has ${q.length} dimensions, the index has $dim")
     var i = 0
     while (i < q.length) {
-      require(!q(i).isNaN, s"query coordinate $i is NaN")
+      require(!q(i).isNaN, s"$what coordinate $i is NaN")
       i += 1
     }
   }
 
-  // ---- local path -------------------------------------------------------
+  // ---- search -----------------------------------------------------------
 
   def searchLocal(model: HdIndexModel, q: Array[Float], p: QueryParams,
                   getVec: Long => Array[Float]): (Array[(Long, Double)], QueryStats) = {
@@ -339,71 +329,11 @@ object HdQuery {
       val tree  = model.trees(t)
       val qkey  = Hilbert(tree.width, cfg.omega).encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
       val (s, e) = selectWindow(tree.keys, qkey, p.alpha)
-      val ids = tree.ids
-      kernel.filter(ids, s, e, i => model.refdistsById(ids(i).toInt))
+      kernel.filter(tree.ids, s, e, model.refdistsById)
       pages += model.treeHeight(t) + (e - s + model.leafOrder(t) - 1) / model.leafOrder(t)
       t += 1
     }
     val (ans, kappa) = kernel.answer(q, getVec, p.k, model.deleted)
     (ans, QueryStats(pages, kappa.toLong, kappa))
-  }
-
-  // ---- distributed path -------------------------------------------------
-
-  /** Distributed candidate retrieval: each index partition (a (treeId, hkey)
-    * range) scans only its own entries, emitting for every query the ≤ 2α
-    * entries adjacent to the query key's local insertion point. The union of
-    * these per-partition runs provably contains the global α-window, which
-    * is then re-selected with the same [[selectWindow]] and filtered with
-    * the same pipeline, so results match [[searchLocal]] exactly.
-    */
-  def searchSpark(spark: SparkSession, model: HdIndexModel, queries: Array[VecRow],
-                  p: QueryParams, getVec: Long => Array[Float]): Array[Array[(Long, Double)]] = {
-    import spark.implicits._
-    val cfg  = model.cfg
-    queries.foreach(qr => checkQuery(qr.vec, cfg.dim))
-    val qKeys: Array[Array[Array[Byte]]] = queries.map { qr =>
-      model.trees.map(tr => Hilbert(tr.width, cfg.omega).encodeVector(qr.vec, tr.fromDim, cfg.lo, cfg.hi))
-    }
-    val bQKeys = spark.sparkContext.broadcast(qKeys)
-    val alpha  = p.alpha
-
-    // (queryIdx, treeId, hkey, id, refdists)
-    val windows = model.entries.mapPartitions { it =>
-      val es = it.toArray // partition is already sorted by (treeId, hkey, id)
-      val byTree = es.zipWithIndex.groupBy(_._1.treeId)
-      val qk = bQKeys.value
-      byTree.iterator.flatMap { case (tid, arr) =>
-        val keys = arr.map(_._1.hkey)
-        (qk.indices).iterator.flatMap { qi =>
-          val pos = lowerBound(keys, qk(qi)(tid))
-          val s = math.max(0, pos - alpha)
-          val e = math.min(keys.length, pos + alpha)
-          (s until e).iterator.map { i =>
-            val en = arr(i)._1
-            (qi, tid, en.hkey, en.id, en.refdists)
-          }
-        }
-      }
-    }.collect()
-
-    val byQuery = windows.groupBy(_._1)
-    queries.indices.toArray.map { qi =>
-      val dq = model.refs.map(r => Distance.l2(queries(qi).vec, r))
-      val kernel = new Kernel(dq, model.refMatrix, p, math.min(p.alpha.toLong, model.n).toInt,
-                              model.trees.length)
-      val perTree = byQuery.getOrElse(qi, Array.empty).groupBy(_._2)
-      model.trees.foreach { tr =>
-        val es = perTree.getOrElse(tr.treeId, Array.empty)
-          .sortWith { (a, b) =>
-            val c = Hilbert.compareKeys(a._3, b._3)
-            if (c != 0) c < 0 else a._4 < b._4
-          }
-        val keys = es.map(_._3)
-        val (s, e) = selectWindow(keys, qKeys(qi)(tr.treeId), p.alpha)
-        kernel.filter(es.map(_._4), s, e, i => es(i)._5)
-      }
-      kernel.answer(queries(qi).vec, getVec, p.k, model.deleted)._1
-    }
   }
 }

@@ -9,15 +9,14 @@ import repro.VecRow
   * objects, stored *in the leaf* so the distance filters run without extra
   * disk accesses.
   */
-final case class IndexEntry(treeId: Int, hkey: Array[Byte], id: Long,
-                            refdists: Array[Float], leafId: Long)
+final case class IndexEntry(treeId: Int, hkey: Array[Byte], id: Long, refdists: Array[Float])
 
 /** RDB-tree (Reference-Distance B+-tree), Sec. 3.2.
   *
-  * The distributed build job materializes all τ trees as one range-
+  * The distributed build job produces all τ trees as one range-
   * partitioned, sorted `Dataset[IndexEntry]` (partition ranges over
-  * (treeId, hkey) play the role of the B+-tree's leaf-page ranges); leaf ids
-  * are assigned by global per-tree rank / Ω exactly as page packing would.
+  * (treeId, hkey, id) play the role of the B+-tree's leaf-page ranges).
+  * Leaf page i of a tree holds its sorted entries [i·Ω, (i+1)·Ω).
   */
 object RdbTree {
 
@@ -65,15 +64,17 @@ object RdbTree {
     * @param data     database as Dataset[VecRow]
     * @param refs     the m reference objects (vectors), broadcast
     * @param dim,tau,omega,lo,hi  HD-Index parameters / value domain
-    * @param m        |R|, fixes the leaf order
-    * @return sorted, range-partitioned entries with leaf ids assigned
+    * @param pageSize unused, as the entries do not depend on the page size;
+    *                 kept because `perfbench/src/Bench.scala` passes it
+    *                 positionally
+    * @return the entries range-partitioned and sorted within partitions by
+    *         (treeId, hkey, id): a global sort, in order under `collect()`
     */
   def build(spark: SparkSession, data: Dataset[VecRow], refs: Array[Array[Float]],
             dim: Int, tau: Int, omega: Int, lo: Double, hi: Double,
             pageSize: Int = 4096): Dataset[IndexEntry] = {
     import spark.implicits._
     val parts  = partitions(dim, tau)
-    val m      = refs.length
     val bRefs  = spark.sparkContext.broadcast(refs)
     val bParts = spark.sparkContext.broadcast(parts)
     val om     = omega
@@ -87,48 +88,13 @@ object RdbTree {
       while (i < rs.length) { rd(i) = Distance.l2(row.vec, rs(i)).toFloat; i += 1 }
       bParts.value.iterator.zipWithIndex.map { case ((from, width), t) =>
         val key = Hilbert(width, om).encodeVector(row.vec, from, lo, hi)
-        IndexEntry(t, key, row.id, rd, leafId = -1L)
+        IndexEntry(t, key, row.id, rd)
       }
     }
 
     val numParts = math.max(spark.sparkContext.defaultParallelism, tau)
-    val sorted = entries
+    entries
       .repartitionByRange(numParts, $"treeId", $"hkey", $"id")
       .sortWithinPartitions($"treeId", $"hkey", $"id")
-      .cache()
-
-    // Two-pass global per-tree ranking -> leafId = rank / Ω. The cache()
-    // above pins the range partitioning so both passes see the same layout.
-    val counts: Array[Map[Int, Long]] = sorted.rdd
-      .mapPartitionsWithIndex { case (p, it) =>
-        val c = scala.collection.mutable.Map.empty[Int, Long]
-        it.foreach(e => c(e.treeId) = c.getOrElse(e.treeId, 0L) + 1L)
-        Iterator.single(p -> c.toMap)
-      }
-      .collect()
-      .sortBy(_._1)
-      .map(_._2)
-
-    // offset(p)(tree) = number of entries of `tree` in partitions before p
-    val nParts = counts.length
-    val offsets = Array.fill(nParts)(scala.collection.mutable.Map.empty[Int, Long])
-    val running = scala.collection.mutable.Map.empty[Int, Long]
-    for (p <- 0 until nParts) {
-      for ((t, _) <- counts(p)) offsets(p)(t) = running.getOrElse(t, 0L)
-      for ((t, c) <- counts(p)) running(t) = running.getOrElse(t, 0L) + c
-    }
-    val bOffsets = spark.sparkContext.broadcast(offsets.map(_.toMap))
-    val leafOrders = parts.map { case (_, width) => leafOrder(width, omega, m, pageSize) }
-    val bLeafOrders = spark.sparkContext.broadcast(leafOrders)
-
-    val withLeaves = sorted.rdd.mapPartitionsWithIndex { case (p, it) =>
-      val rank = scala.collection.mutable.Map.empty[Int, Long]
-      it.map { e =>
-        val r = rank.getOrElse(e.treeId, bOffsets.value(p).getOrElse(e.treeId, 0L))
-        rank(e.treeId) = r + 1
-        e.copy(leafId = r / bLeafOrders.value(e.treeId))
-      }
-    }
-    spark.createDataset(withLeaves)
   }
 }

@@ -269,7 +269,7 @@ class HdQuerySpec extends SparkSpec {
       QueryParams(10, n + 5, 300, 100, usePtolemaic = true))
     // a private copy of the model, so marks don't leak into shared fixtures
     val withDeletes = new HdIndexModel(model.cfg, model.n, model.refIds, model.refs, model.refMatrix,
-                                       model.entries, model.trees, model.refdistsById, model.buildMillis)
+                                       model.trees, model.refdistsById, model.buildMillis)
     withDeletes.deleted ++= truth.take(10).flatMap(_.take(3).map(_._1)) ++ (0L until model.n by 7L)
     // two more copies of each query's 20 nearest objects: equal vectors have
     // equal bounds, so ties at the beta and gamma cuts are common
@@ -325,25 +325,6 @@ class HdQuerySpec extends SparkSpec {
     queries.take(20).foreach { q =>
       val (_, st) = HdQuery.searchLocal(model, q.vec, params, TestFixtures.getVec)
       assert(st.kappa >= params.gamma && st.kappa <= model.cfg.tau * params.gamma)
-    }
-  }
-
-  test("distributed (Spark partition-scan) path returns identical answers to local path") {
-    val qs = queries.take(8)
-    val distAns = HdQuery.searchSpark(spark, model, qs, params, TestFixtures.getVec)
-    qs.indices.foreach { qi =>
-      val (localAns, _) = HdQuery.searchLocal(model, qs(qi).vec, params, TestFixtures.getVec)
-      assert(distAns(qi).toSeq == localAns.toSeq, s"mismatch for query $qi")
-    }
-  }
-
-  test("distributed path with ptolemaic filter matches local path") {
-    val p = QueryParams(10, 256, 256, 64, usePtolemaic = true)
-    val qs = queries.take(4)
-    val distAns = HdQuery.searchSpark(spark, model, qs, p, TestFixtures.getVec)
-    qs.indices.foreach { qi =>
-      val (localAns, _) = HdQuery.searchLocal(model, qs(qi).vec, p, TestFixtures.getVec)
-      assert(distAns(qi).toSeq == localAns.toSeq)
     }
   }
 

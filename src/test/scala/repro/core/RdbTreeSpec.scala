@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{Oracle, SparkSpec, TestFixtures, VectorData}
+import repro.{SparkSpec, TestFixtures, VectorData}
 
 class RdbTreeSpec extends SparkSpec {
 
@@ -72,6 +72,13 @@ class RdbTreeSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](RdbTree.partitions(10, 11))
   }
 
+  test("HdIndexConfig rejects an empty or non-finite value domain") {
+    val cfg = HdIndexConfig(dim = 8, tau = 2, omega = 8, lo = 0.0, hi = 1.0)
+    for ((lo, hi) <- Seq((1.0, 1.0), (2.0, 1.0), (Double.NaN, 1.0), (0.0, Double.NaN),
+                         (Double.NegativeInfinity, 1.0), (0.0, Double.PositiveInfinity)))
+      assertThrows[IllegalArgumentException](cfg.copy(lo = lo, hi = hi))
+  }
+
   // --- distributed build --------------------------------------------------
 
   lazy val spec: VectorData.Spec = TestFixtures.tiny
@@ -126,20 +133,22 @@ class RdbTreeSpec extends SparkSpec {
     }
   }
 
-  test("leaf ids pack Ω entries per leaf in key order (DuckDB oracle)") {
+  test("trees do not depend on the input's partitioning or order") {
     import spark.implicits._
-    // our leaf assignment for tree 0, vs SQL row_number over the same ordering
-    val omega0 = model.leafOrder(0)
-    val entries = model.entries.filter(_.treeId == 0)
-      .map(e => (Hilbert.hex(e.hkey), e.id, e.leafId))
-      .toDF("hkeyhex", "id", "leafid")
-    val got = entries.selectExpr("hkeyhex", "cast(id as string) as id", "cast(leafid as string) as leafid")
-    Oracle.assertEquivalent(
-      got,
-      s"""SELECT hkeyhex, id,
-         |       CAST( (row_number() OVER (ORDER BY hkeyhex, CAST(id AS BIGINT)) - 1) // $omega0 AS VARCHAR) AS leafid
-         |FROM t""".stripMargin,
-      "t" -> entries.selectExpr("hkeyhex", "cast(id as string) as id"))
+    val data = spec.data(spark)
+    val inputs = Seq("as is" -> data, "1 partition" -> data.repartition(1),
+                     "8 partitions" -> data.repartition(8), "reversed ids" -> data.orderBy($"id".desc))
+    for ((name, ds) <- inputs) {
+      val m = HdIndex.build(spark, ds, TestFixtures.tinyLocal, model.cfg)
+      assert(m.trees.length == model.trees.length, name)
+      m.trees.zip(model.trees).foreach { case (a, b) =>
+        assert(a.keys.corresponds(b.keys)((x, y) => java.util.Arrays.equals(x, y)),
+               s"$name: keys of tree ${a.treeId} differ")
+        assert(a.ids.sameElements(b.ids), s"$name: ids of tree ${a.treeId} differ")
+      }
+      assert(m.refdistsById.corresponds(model.refdistsById)((x, y) => java.util.Arrays.equals(x, y)),
+             s"$name: reference distances differ")
+    }
   }
 
   test("index size estimate is linear-ish in n (Sec. 3.5.2)") {

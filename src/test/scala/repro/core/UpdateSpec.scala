@@ -68,6 +68,23 @@ class UpdateSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](HdIndex.insert(m0, m0.n + 5, spec.point(1L)))
   }
 
+  test("insert rejects a NaN or wrong-dimension vector") {
+    val m0 = freshModel()
+    val v  = spec.point(1L).clone()
+    v(spec.dim / 2) = Float.NaN
+    val e = intercept[IllegalArgumentException](HdIndex.insert(m0, m0.n, v))
+    assert(e.getMessage.contains("NaN"), e.getMessage)
+    for (len <- Seq(spec.dim - 1, spec.dim + 1))
+      assertThrows[IllegalArgumentException](HdIndex.insert(m0, m0.n, new Array[Float](len)))
+  }
+
+  test("markDeleted rejects an id outside [0, n)") {
+    val m = freshModel()
+    for (id <- Seq(-1L, m.n, m.n + 100))
+      assertThrows[IllegalArgumentException](HdIndex.markDeleted(m, id))
+    assert(m.deleted.isEmpty)
+  }
+
   test("a marked-deleted object is never returned; other answers unaffected") {
     val m = freshModel()
     val q = local(17) // query an existing point
