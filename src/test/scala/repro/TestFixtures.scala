@@ -18,4 +18,20 @@ object TestFixtures {
     repro.baselines.LinearScan.groundTruth(spark, tiny.data(spark), tinyQueries, 100)
 
   def getVec(id: Long): Array[Float] = tinyLocal(id.toInt)
+
+  /** SHA-256 over `search`'s answers to every tiny query at each k in `ks`:
+    * per answer list, its length, then every (id, distance bits) in order.
+    */
+  def answerDigest(ks: Seq[Int])(search: (Array[Float], Int) => Array[(Long, Double)]): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    val buf = java.nio.ByteBuffer.allocate(16)
+    for (k <- ks; qr <- tinyQueries) {
+      val ans = search(qr.vec, k)
+      md.update(buf.clear().putLong(ans.length.toLong).array(), 0, 8)
+      ans.foreach { case (id, d) =>
+        md.update(buf.clear().putLong(id).putLong(java.lang.Double.doubleToLongBits(d)).array())
+      }
+    }
+    md.digest().map(b => f"$b%02x").mkString
+  }
 }

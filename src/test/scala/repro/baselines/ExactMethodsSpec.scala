@@ -15,10 +15,11 @@ class ExactMethodsSpec extends SparkSpec {
 
   // --- LinearScan ---------------------------------------------------------
 
+  lazy val linear = LinearScan.build(spark, spec, spec.data(spark), local)
+
   test("LinearScan driver index equals distributed ground truth") {
-    val idx = LinearScan.build(spark, spec, spec.data(spark), local)
     for (qi <- 0 until 10) {
-      assert(idx.search(queries(qi).vec, 10).toSeq == truth(qi).take(10).toSeq)
+      assert(linear.search(queries(qi).vec, 10).toSeq == truth(qi).take(10).toSeq)
     }
   }
 
@@ -90,6 +91,13 @@ class ExactMethodsSpec extends SparkSpec {
 
   test("iDistance index size is small (keys + pointers, Sec. 5.4.3)") {
     assert(idist.indexBytes < local.length.toLong * spec.dim * 4) // smaller than raw data
+  }
+
+  test("LinearScan and iDistance answers equal their pinned digests (k = 1, 10, 100)") {
+    val got = Seq(linear, idist).map(idx => idx.name -> TestFixtures.answerDigest(Seq(1, 10, 100))(idx.search)).toMap
+    assert(got == Map(
+      "linear"    -> "c882f49a8e5f220b9454f2c8ec15cd1801ad035e0ab96e4d777182c91e9a8c57",
+      "idistance" -> "c882f49a8e5f220b9454f2c8ec15cd1801ad035e0ab96e4d777182c91e9a8c57"))
   }
 
   test("iDistance k > n returns all points") {
