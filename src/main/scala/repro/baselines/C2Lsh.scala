@@ -40,8 +40,9 @@ object C2Lsh extends AnnMethod {
       val qb = Array.tabulate(m)(i =>
         math.floor((Common.dot(q, projections(i)) + offsets(i)) / w).toLong + Offset)
       val nCand = math.min(data.length, betaN + k)
-      // qualifying level per point = l-th smallest per-hash first-collision level
-      val levels = new Array[Int](data.length)
+      // qualifying level per point = l-th smallest per-hash first-collision
+      // level; the nCand smallest by (level, id) are the candidates
+      val cands = new Distance.TopK(nCand)
       val tmp = new Array[Int](m)
       var i = 0
       while (i < data.length) {
@@ -52,11 +53,10 @@ object C2Lsh extends AnnMethod {
           j += 1
         }
         java.util.Arrays.sort(tmp)
-        levels(i) = tmp(collisionThreshold - 1)
+        cands.offer(i, tmp(collisionThreshold - 1))
         i += 1
       }
-      val order = data.indices.sortBy(i => (levels(i), i)).take(nCand)
-      Distance.topK(order.iterator.map(i => i.toLong -> Distance.l2(data(i), q)), k)
+      Distance.topK(cands.result().iterator.map { case (i, _) => i -> Distance.l2(data(i.toInt), q) }, k)
     }
 
     override def indexBytes: Long = data.length.toLong * m * 8L

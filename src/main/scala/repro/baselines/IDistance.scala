@@ -42,12 +42,7 @@ object IDistance extends AnnMethod {
         lo(p) = l; hi(p) = l
         p += 1
       }
-      val best = scala.collection.mutable.PriorityQueue.empty[(Double, Long)] // max-heap
-      def kth: Double = if (best.size < k) Double.MaxValue else best.head._1
-      def offer(id: Long, d: Double): Unit = {
-        if (best.size < k) best.enqueue((d, id))
-        else if (d < best.head._1) { best.dequeue(); best.enqueue((d, id)) }
-      }
+      val best = new Distance.TopK(k)
       var r = r0
       var done = false
       while (!done) {
@@ -59,19 +54,19 @@ object IDistance extends AnnMethod {
           val ub = dq(p) + r
           while (lo(p) > 0 && dists(lo(p) - 1) >= lb) {
             lo(p) -= 1
-            val id = ids(lo(p)); offer(id, Distance.l2(data(id.toInt), q)); progressed = true
+            val id = ids(lo(p)); best.offer(id, Distance.l2(data(id.toInt), q)); progressed = true
           }
           while (hi(p) < dists.length && dists(hi(p)) <= ub) {
-            val id = ids(hi(p)); offer(id, Distance.l2(data(id.toInt), q)); hi(p) += 1; progressed = true
+            val id = ids(hi(p)); best.offer(id, Distance.l2(data(id.toInt), q)); hi(p) += 1; progressed = true
           }
           p += 1
         }
         val exhausted = (0 until pivots.length).forall(i => lo(i) == 0 && hi(i) == byPivot(i)._2.length)
-        if ((best.size >= k && kth <= r) || exhausted) done = true
+        // exact once the k-th distance is within r (worst is +∞ until k are held)
+        if (best.worst <= r || exhausted) done = true
         else { r += dr; if (!progressed && r > 1e18) done = true }
       }
-      best.dequeueAll.toArray.map { case (d, id) => (id, d) }.reverse
-        .sortBy { case (id, d) => (d, id) }
+      best.result()
     }
 
     override def indexBytes: Long =

@@ -8,7 +8,7 @@ import repro.core.Distance
   * "linear scan" row of the image-search experiment (Sec. 5.5).
   *
   * [[groundTruth]] runs distributed: queries are broadcast, each partition
-  * keeps a bounded top-k heap per query, and partial top-k lists merge on
+  * keeps a bounded top-k per query, and partial top-k lists merge on
   * the driver — the canonical Spark top-k-per-key pattern without a shuffle
   * of the full cross product.
   */
@@ -29,7 +29,7 @@ object LinearScan extends AnnMethod {
       }
     }
     val merged = partial
-      .reduceByKey((a, b) => Distance.mergeTopK(a, b, k))
+      .reduceByKey((a, b) => Distance.topK(a.iterator ++ b.iterator, k)) // partitions hold disjoint ids
       .collect()
       .toMap
     queries.indices.toArray.map(qi => merged.getOrElse(qi, Array.empty))

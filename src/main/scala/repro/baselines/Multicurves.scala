@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.{VecRow, VectorData}
-import repro.core.{Distance, Hilbert, HdQuery, RdbTree}
+import repro.core.{Distance, HdIndex, HdIndexConfig, HdQuery, Hilbert, LocalTree}
 
 /** Multicurves (Valle et al. [67]) — the space-filling-curve baseline.
   *
@@ -19,52 +19,38 @@ object Multicurves extends AnnMethod {
 
   final class Index(
       data: Array[Array[Float]],
-      dim: Int, tau: Int, omega: Int, lo: Double, hi: Double, alpha: Int,
-      trees: Array[(Int, Int, Array[Array[Byte]], Array[Long])], // (from, width, keys, ids)
+      cfg: HdIndexConfig, alpha: Int,
+      trees: Array[LocalTree],
       val buildMillis: Long) extends AnnIndex {
 
     override def name = "multicurves"
 
     override def search(q: Array[Float], k: Int): Array[(Long, Double)] = {
       val cands = scala.collection.mutable.Set.empty[Long]
-      trees.foreach { case (from, width, keys, ids) =>
-        val qkey = Hilbert(width, omega).encodeVector(q, from, lo, hi)
-        val (s, e) = HdQuery.selectWindow(keys, qkey, alpha)
+      trees.foreach { tree =>
+        val qkey = Hilbert(tree.width, cfg.omega).encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
+        val (s, e) = HdQuery.selectWindow(tree.keys, qkey, alpha)
         var i = s
-        while (i < e) { cands += ids(i); i += 1 }
+        while (i < e) { cands += tree.ids(i); i += 1 }
       }
       Distance.topK(cands.iterator.map(id => id -> Distance.l2(data(id.toInt), q)), k)
     }
 
     override def indexBytes: Long = {
       // leaves store key + full vector (4ν) + pointer per entry
-      val keyB = trees.headOption.map(t => (t._2 * omega + 7) / 8).getOrElse(0)
-      data.length.toLong * tau * (keyB + 4L * dim + 8L)
+      val keyB = trees.headOption.map(t => (t.width * cfg.omega + 7) / 8).getOrElse(0)
+      data.length.toLong * cfg.tau * (keyB + 4L * cfg.dim + 8L)
     }
   }
 
+  /** The τ curves are HD-Index's trees (Algo. 1) built without references. */
   def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
                  dim: Int, tau: Int, omega: Int, lo: Double, hi: Double,
                  alpha: Int): Index = {
     val t0 = System.nanoTime()
-    val parts = RdbTree.partitions(dim, tau)
-    val bParts = spark.sparkContext.broadcast(parts)
-    val om = omega; val l = lo; val h = hi
-    // Distributed key computation per curve.
-    val keyed: Array[(Int, Array[Byte], Long)] = data.rdd.flatMap { r =>
-      bParts.value.iterator.zipWithIndex.map { case ((from, width), t) =>
-        (t, Hilbert(width, om).encodeVector(r.vec, from, l, h), r.id)
-      }
-    }.collect()
-    val trees = parts.zipWithIndex.map { case ((from, width), t) =>
-      val es = keyed.filter(_._1 == t).sortWith { (a, b) =>
-        val c = Hilbert.compareKeys(a._2, b._2)
-        if (c != 0) c < 0 else a._3 < b._3
-      }
-      (from, width, es.map(_._2), es.map(_._3))
-    }
-    new Index(localData, dim, tau, omega, lo, hi, alpha, trees,
-              (System.nanoTime() - t0) / 1000000L)
+    val cfg = HdIndexConfig(dim, tau, omega, lo, hi)
+    val (trees, _) = HdIndex.collectTrees(spark, data, Array.empty, cfg, localData.length)
+    new Index(localData, cfg, alpha, trees, (System.nanoTime() - t0) / 1000000L)
   }
 
   override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],

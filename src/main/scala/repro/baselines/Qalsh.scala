@@ -33,7 +33,8 @@ object Qalsh extends AnnMethod {
     override def search(q: Array[Float], k: Int): Array[(Long, Double)] = {
       val qp = Array.tabulate(m)(i => Common.dot(q, projections(i)))
       val nCand = math.min(data.length, betaN + k)
-      val levels = new Array[Double](data.length)
+      // the nCand smallest by (qualifying level, id) are the candidates
+      val cands = new Distance.TopK(nCand)
       val tmp = new Array[Double](m)
       var i = 0
       while (i < data.length) {
@@ -48,11 +49,10 @@ object Qalsh extends AnnMethod {
           j += 1
         }
         java.util.Arrays.sort(tmp)
-        levels(i) = tmp(collisionThreshold - 1)
+        cands.offer(i, tmp(collisionThreshold - 1))
         i += 1
       }
-      val order = data.indices.sortBy(i => (levels(i), i)).take(nCand)
-      Distance.topK(order.iterator.map(i => i.toLong -> Distance.l2(data(i), q)), k)
+      Distance.topK(cands.result().iterator.map { case (i, _) => i -> Distance.l2(data(i.toInt), q) }, k)
     }
 
     override def indexBytes: Long = data.length.toLong * m * (4L + 8L) // proj + B+-tree ptr

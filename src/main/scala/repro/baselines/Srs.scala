@@ -38,31 +38,29 @@ object Srs extends AnnMethod {
         s
       }
       val maxExamine = math.max(2 * k, math.ceil(t * data.length).toInt)
-      val best = scala.collection.mutable.PriorityQueue.empty[(Double, Long)]
+      val best = new Distance.TopK(k)
       var examined = 0
       val it = order.iterator
       var stop = false
       while (it.hasNext && !stop) {
         val i = it.next()
-        val d = Distance.l2(data(i), q)
-        if (best.size < k) best.enqueue((d, i.toLong))
-        else if (d < best.head._1) { best.dequeue(); best.enqueue((d, i.toLong)) }
+        best.offer(i.toLong, Distance.l2(data(i), q))
         examined += 1
         if (examined >= maxExamine) stop = true
-        else if (best.size >= k) {
+        else {
           // early termination (SRS-12, simplified): sqrt(pd/m) is an unbiased
           // estimate of the next point's true distance (2-stable property);
-          // once it exceeds c=2 times the current k-th exact distance the
-          // c-approximation already holds with the confidence governed by
-          // τ' and the search can stop.
+          // once it exceeds c=2 times the current k-th exact distance (+∞
+          // until k points are held) the c-approximation already holds with
+          // the confidence governed by τ' and the search can stop.
           var pd = 0.0
           val nxt = order(math.min(examined, order.length - 1))
           var j = 0
           while (j < m) { val dd = projected(nxt)(j) - qp(j); pd += dd * dd; j += 1 }
-          if (math.sqrt(pd / m) * (1.0 + earlyTau) > 2.0 * best.head._1) stop = true
+          if (math.sqrt(pd / m) * (1.0 + earlyTau) > 2.0 * best.worst) stop = true
         }
       }
-      best.dequeueAll.toArray.map { case (d, id) => (id, d) }.sortBy { case (id, d) => (d, id) }
+      best.result()
     }
 
     override def indexBytes: Long = data.length.toLong * (m * 4L + 8L)

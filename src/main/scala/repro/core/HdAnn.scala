@@ -13,8 +13,6 @@ final class HdAnnIndex(val model: HdIndexModel, val params: QueryParams,
   override def name = "hdindex"
   override def search(q: Array[Float], k: Int): Array[(Long, Double)] =
     HdQuery.searchLocal(model, q, params.copy(k = k), id => data(id.toInt))._1
-  def searchWithStats(q: Array[Float], k: Int): (Array[(Long, Double)], QueryStats) =
-    HdQuery.searchLocal(model, q, params.copy(k = k), id => data(id.toInt))
   override def indexBytes: Long = model.indexBytes
   override def buildMillis: Long = model.buildMillis
 }

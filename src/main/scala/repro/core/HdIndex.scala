@@ -92,6 +92,17 @@ object HdIndex {
       (i, j) => Distance.l2(refs(i), refs(j))
     }
 
+    val (trees, refdistsById) = collectTrees(spark, data, refs, cfg, localData.length)
+    new HdIndexModel(cfg, localData.length.toLong, refIds, refs, refMatrix, trees, refdistsById,
+                     (System.nanoTime() - t0) / 1000000L)
+  }
+
+  /** The τ trees over the n objects of `data` (ids 0 until n) on the
+    * driver, and each object's distances to `refs` by id: one
+    * [[RdbTree.build]] job, collected.
+    */
+  def collectTrees(spark: SparkSession, data: Dataset[VecRow], refs: Array[Array[Float]],
+                   cfg: HdIndexConfig, n: Int): (Array[LocalTree], Array[Array[Float]]) = {
     // The build's range partitioning plus per-partition sort is a global
     // (treeId, hkey, id) sort, and collect() keeps partition order: tree t
     // is the slice [t·n, (t+1)·n), already in key order. The checks below
@@ -99,7 +110,6 @@ object HdIndex {
     val collected = RdbTree.build(spark, data, refs, cfg.dim, cfg.tau, cfg.omega,
                                   cfg.lo, cfg.hi).collect()
     val parts = RdbTree.partitions(cfg.dim, cfg.tau)
-    val n = localData.length
     require(collected.length == parts.length.toLong * n,
             s"build returned ${collected.length} entries, expected ${parts.length} trees of $n")
     val refdistsById = new Array[Array[Float]](n)
@@ -122,15 +132,7 @@ object HdIndex {
       }
       LocalTree(t, from, width, keys, ids)
     }
-
-    new HdIndexModel(cfg, n.toLong, refIds, refs, refMatrix, trees, refdistsById,
-                     (System.nanoTime() - t0) / 1000000L)
-  }
-
-  def buildForSpec(spark: SparkSession, spec: VectorData.Spec,
-                   cfg: HdIndexConfig = null): HdIndexModel = {
-    val c = Option(cfg).getOrElse(configFor(spec))
-    build(spark, spec.data(spark), spec.localData, c)
+    (trees, refdistsById)
   }
 
   /** Sec. 3.6 insertion: B+-trees are update-friendly, so a new object only

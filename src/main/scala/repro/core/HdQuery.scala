@@ -33,7 +33,7 @@ final case class QueryStats(leafPages: Long, randomAccesses: Long, kappa: Int)
   * a query runs in primitive arrays reused across the τ trees: the filters
   * cut to β and γ by in-place selection over packed (bound, position)
   * longs, the survivors are de-duplicated by sorting, and the exact rerank
-  * keeps a bounded (distance, id) max-heap.
+  * keeps the top k by (distance, id) in a [[Distance.TopK]].
   */
 object HdQuery {
 
@@ -229,75 +229,19 @@ object HdQuery {
                deleted: scala.collection.Set[Long]): (Array[(Long, Double)], Int) = {
       java.util.Arrays.sort(survivors, 0, nSurvivors)
       val anyDeleted = deleted.nonEmpty
+      val top = new Distance.TopK(math.min(k, nSurvivors))
       var kappa = 0
       var i = 0
       while (i < nSurvivors) {
         val id = survivors(i)
         if ((i == 0 || id != survivors(i - 1)) && !(anyDeleted && deleted.contains(id))) {
-          survivors(kappa) = id // kappa <= i, and survivors(i - 1) is only ever rewritten to itself
+          top.offer(id, Distance.l2(getVec(id), q))
           kappa += 1
         }
         i += 1
       }
-      (rerank(survivors, kappa, q, getVec, k), kappa)
+      (top.result(), kappa)
     }
-  }
-
-  /** (d1, id1) < (d2, id2), distances by `java.lang.Double.compare`. */
-  private def before(d1: Double, id1: Long, d2: Double, id2: Long): Boolean = {
-    val c = java.lang.Double.compare(d1, d2)
-    c < 0 || (c == 0 && id1 < id2)
-  }
-
-  /** The k nearest of the distinct ids(0 until n) to q, ascending by
-    * (distance, id), through a bounded max-heap on (distance, id) held in
-    * two primitive arrays; tuples are built only for the answer.
-    */
-  private def rerank(ids: Array[Long], n: Int, q: Array[Float], getVec: Long => Array[Float],
-                     k: Int): Array[(Long, Double)] = {
-    val cap = math.min(k, n)
-    val hd = new Array[Double](cap)
-    val hid = new Array[Long](cap)
-    // restore the heap below slot `from` of heap[0, size) after it took (d, id)
-    def siftDown(from: Int, size: Int, d: Double, id: Long): Unit = {
-      var at = from
-      var child = 2 * at + 1
-      while (child < size) {
-        if (child + 1 < size && before(hd(child), hid(child), hd(child + 1), hid(child + 1))) child += 1
-        if (before(d, id, hd(child), hid(child))) {
-          hd(at) = hd(child); hid(at) = hid(child)
-          at = child
-          child = 2 * at + 1
-        } else child = size
-      }
-      hd(at) = d; hid(at) = id
-    }
-    var size = 0
-    var c = 0
-    while (c < n) {
-      val id = ids(c)
-      val d = Distance.l2(getVec(id), q)
-      if (size < cap) {
-        var at = size
-        while (at > 0 && before(hd((at - 1) / 2), hid((at - 1) / 2), d, id)) {
-          val parent = (at - 1) / 2
-          hd(at) = hd(parent); hid(at) = hid(parent)
-          at = parent
-        }
-        hd(at) = d; hid(at) = id
-        size += 1
-      } else if (before(d, id, hd(0), hid(0))) siftDown(0, size, d, id)
-      c += 1
-    }
-    // heap sort: move the current worst behind the shrinking heap
-    var m = size
-    while (m > 1) {
-      m -= 1
-      val d = hd(m); val id = hid(m)
-      hd(m) = hd(0); hid(m) = hid(0)
-      siftDown(0, m, d, id)
-    }
-    Array.tabulate(size)(i => (hid(i), hd(i)))
   }
 
   /** Wrong-dimension and NaN vectors (queries, and inserted objects named

@@ -100,6 +100,21 @@ class ExactMethodsSpec extends SparkSpec {
       "idistance" -> "c882f49a8e5f220b9454f2c8ec15cd1801ad035e0ab96e4d777182c91e9a8c57"))
   }
 
+  test("iDistance equals LinearScan when the k-th distance is tied (every object duplicated)") {
+    import spark.implicits._
+    val twice = local ++ local // ids i and i + n hold the same vector
+    val ds = spark.createDataset(twice.toSeq.zipWithIndex.map { case (v, i) => VecRow(i.toLong, v) })
+    val exact = LinearScan.build(spark, spec, ds, twice)
+    val idx = IDistance.buildIndex(spark, ds, twice)
+    var tied = 0
+    for (k <- Seq(9, 11); qr <- queries) {
+      val want = exact.search(qr.vec, k + 1)
+      if (want(k - 1)._2 == want(k)._2) tied += 1
+      assert(idx.search(qr.vec, k).toSeq == want.take(k).toSeq, s"query ${qr.id}, k = $k")
+    }
+    assert(tied > 0, "no query had a tied k-th distance")
+  }
+
   test("iDistance k > n returns all points") {
     val small = Array(Array(0f, 0f), Array(1f, 0f), Array(0f, 1f))
     import spark.implicits._

@@ -23,11 +23,6 @@ class DistanceSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](Distance.l2(Array(1f), Array(1f, 2f)))
   }
 
-  test("l2sqSlice matches l2sq on the slice") {
-    val a = Array(1f, 2f, 3f, 4f); val b = Array(0f, 0f, 0f, 0f)
-    assert(Distance.l2sqSlice(a, b, 1, 3) == Distance.l2sq(Array(2f, 3f), Array(0f, 0f)))
-  }
-
   test("property: metric axioms (symmetry, identity, triangle inequality)") {
     val vec = Gen.listOfN(6, Gen.choose(-100.0, 100.0)).map(_.map(_.toFloat).toArray)
     forAllSamples(Gen.zip(vec, vec, vec), n = 200) { case (a, b, c) =>
@@ -63,9 +58,32 @@ class DistanceSpec extends AnyFunSuite {
     }
   }
 
-  test("mergeTopK merges sorted lists correctly") {
-    val a = Array((1L, 1.0), (3L, 3.0))
-    val b = Array((2L, 2.0), (4L, 4.0))
-    assert(Distance.mergeTopK(a, b, 3).toSeq == Seq((1L, 1.0), (2L, 2.0), (3L, 3.0)))
+  test("property: topK agrees with full sort when distances tie; worst is the k-th distance") {
+    // distances from {0, ..., 4} over distinct ids in random order: most
+    // inputs tie at the k-th distance
+    val gen = for {
+      n     <- Gen.choose(0, 40)
+      ids   <- Gen.pick(n, 0L until 1000L)
+      ds    <- Gen.listOfN(n, Gen.choose(0, 4).map(_.toDouble))
+      order <- Gen.listOfN(n, Gen.choose(0.0, 1.0))
+      k     <- Gen.choose(0, n + 3)
+    } yield (ids.zip(ds).zip(order).sortBy(_._2).map(_._1).toVector, k)
+    var tiedAtK = 0
+    forAllSamples(gen, n = 300) { case (xs, k) =>
+      val expect = xs.sortBy { case (id, d) => (d, id) }.take(k)
+      val sorted = xs.map(_._2).sorted
+      if (k > 0 && k < xs.length && sorted(k - 1) == sorted(k)) tiedAtK += 1
+      assert(Distance.topK(xs.iterator, k).toSeq == expect)
+      val top = new Distance.TopK(k)
+      for (held <- 0 to xs.length) {
+        val want = if (held < k) Double.PositiveInfinity
+                   else if (k == 0) Double.NegativeInfinity
+                   else xs.take(held).map(_._2).sorted.apply(k - 1)
+        assert(top.worst == want, s"after $held of $xs, k = $k")
+        if (held < xs.length) top.offer(xs(held)._1, xs(held)._2)
+      }
+      assert(top.result().toSeq == expect)
+    }
+    assert(tiedAtK > 50, s"only $tiedAtK inputs tied at the k-th distance")
   }
 }

@@ -219,7 +219,8 @@ class HdQuerySpec extends SparkSpec {
 
   /** [[HdQuery.searchLocal]] as it was before its primitive kernel: greedy
     * window, full sort of the packed (bound, position) longs, a
-    * `mutable.Set` union and [[Distance.topK]]. The kernel must equal it.
+    * `mutable.Set` union and a full sort by (distance, id). The kernel must
+    * equal it.
     */
   private def pipelineReference(m: HdIndexModel, q: Array[Float], p: QueryParams,
                                 getVec: Long => Array[Float]): (Array[(Long, Double)], QueryStats) = {
@@ -252,7 +253,9 @@ class HdQuerySpec extends SparkSpec {
       pages += m.treeHeight(t) + (e - s + m.leafOrder(t) - 1) / m.leafOrder(t)
     }
     cands --= m.deleted
-    val ans = Distance.topK(cands.iterator.map(id => id -> Distance.l2(getVec(id), q)), p.k)
+    // a full sort, so the reference shares no top-k code with the kernel
+    val ans = cands.toArray.map(id => id -> Distance.l2(getVec(id), q))
+      .sortBy { case (id, d) => (d, id) }.take(p.k)
     (ans, QueryStats(pages, cands.size.toLong, cands.size))
   }
 
