@@ -94,7 +94,8 @@ class ExactMethodsSpec extends SparkSpec {
   }
 
   test("LinearScan and iDistance answers equal their pinned digests (k = 1, 10, 100)") {
-    val got = Seq(linear, idist).map(idx => idx.name -> TestFixtures.answerDigest(Seq(1, 10, 100))(idx.search)).toMap
+    val got = Seq(linear, idist)
+      .map(idx => idx.name -> TestFixtures.answerDigest(Seq(1, 10, 100))(idx.search)).toMap
     assert(got == Map(
       "linear"    -> "c882f49a8e5f220b9454f2c8ec15cd1801ad035e0ab96e4d777182c91e9a8c57",
       "idistance" -> "c882f49a8e5f220b9454f2c8ec15cd1801ad035e0ab96e4d777182c91e9a8c57"))

@@ -293,21 +293,9 @@ class HdQuerySpec extends SparkSpec {
     }
   }
 
-  /** SHA-256 over each tiny query's answer list: its length, then every
-    * (id, distance bits) in order.
-    */
-  private def answerDigest(p: QueryParams): String = {
-    val md = java.security.MessageDigest.getInstance("SHA-256")
-    val buf = java.nio.ByteBuffer.allocate(16)
-    queries.foreach { qr =>
-      val (ans, _) = HdQuery.searchLocal(model, qr.vec, p, TestFixtures.getVec)
-      md.update(buf.clear().putLong(ans.length.toLong).array(), 0, 8)
-      ans.foreach { case (id, d) =>
-        md.update(buf.clear().putLong(id).putLong(java.lang.Double.doubleToLongBits(d)).array())
-      }
-    }
-    md.digest().map(b => f"$b%02x").mkString
-  }
+  private def answerDigest(p: QueryParams): String =
+    TestFixtures.answerDigest(Seq(p.k))((q, k) =>
+      HdQuery.searchLocal(model, q, p.copy(k = k), TestFixtures.getVec)._1)
 
   test("answers equal the pinned golden digest (triangular and Ptolemaic)") {
     assert(answerDigest(params) ==
