@@ -31,12 +31,12 @@ object C2Lsh extends AnnMethod {
       offsets: Array[Double], w: Double,
       buckets: Array[Array[Long]], // n × m bucket ids (non-negative)
       collisionThreshold: Int, betaN: Int,
-      val buildMillis: Long) extends AnnIndex {
+      val buildMillis: Long) extends AnnIndex(Common.dimOf(data)) {
 
     override def name = "c2lsh"
     private val m = projections.length
 
-    override def search(q: Array[Float], k: Int): Array[(Long, Double)] = {
+    override protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)] = {
       val qb = Array.tabulate(m)(i =>
         math.floor((Common.dot(q, projections(i)) + offsets(i)) / w).toLong + Offset)
       val nCand = math.min(data.length, betaN + k)

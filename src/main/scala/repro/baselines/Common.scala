@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.{VecRow, VectorData}
+import repro.core.HdQuery
 
 /** Common contract for every kANN method in the comparison (Sec. 2.2.6).
   *
@@ -9,11 +10,22 @@ import repro.{VecRow, VectorData}
   * but the built structure answers single queries on the driver so that
   * per-query wall-clock measures the algorithm, not Spark job scheduling —
   * mirroring the paper's single-machine per-query timings.
+  *
+  * @param dim dimension ν of the indexed vectors; −1 for an index over no
+  *            vectors, which takes a query of any length
   */
-trait AnnIndex extends Serializable {
+abstract class AnnIndex(val dim: Int) extends Serializable {
   def name: String
-  /** Ranked kNN: (id, distance) ascending by (distance, id). */
-  def search(q: Array[Float], k: Int): Array[(Long, Double)]
+  /** Ranked kNN: (id, distance) ascending by (distance, id). Every method
+    * rejects here k ≤ 0 and a query of the wrong dimension or with NaN.
+    */
+  final def search(q: Array[Float], k: Int): Array[(Long, Double)] = {
+    require(k > 0, s"k must be positive, got $k")
+    HdQuery.checkQuery(q, if (dim < 0) q.length else dim)
+    searchChecked(q, k)
+  }
+  /** The method's own [[search]], on a checked query. */
+  protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)]
   /** Index size estimate in bytes (for the scalability columns). */
   def indexBytes: Long
   /** Build wall-clock in ms. */
@@ -27,6 +39,8 @@ trait AnnMethod {
 }
 
 object Common {
+  /** [[AnnIndex.dim]] of an index over `data`. */
+  def dimOf(data: Array[Array[Float]]): Int = if (data.isEmpty) -1 else data(0).length
   /** Gaussian 2-stable projection vectors, deterministic in seed. */
   def gaussianProjections(dim: Int, count: Int, seed: Long): Array[Array[Float]] = {
     val rng = new java.util.Random(seed)

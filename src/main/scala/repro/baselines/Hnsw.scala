@@ -21,7 +21,7 @@ object Hnsw extends AnnMethod {
 
   final class Index(
       data: Array[Array[Float]],
-      m: Int, efConstruction: Int, ef: Int, seed: Long) extends AnnIndex {
+      m: Int, efConstruction: Int, ef: Int, seed: Long) extends AnnIndex(Common.dimOf(data)) {
 
     override def name = "hnsw"
     private val mMax0 = 2 * m
@@ -124,7 +124,7 @@ object Hnsw extends AnnMethod {
       if (level > maxLevel) { maxLevel = level; entryPoint = node }
     }
 
-    override def search(q: Array[Float], k: Int): Array[(Long, Double)] = {
+    override protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)] = {
       if (entryPoint < 0) return Array.empty
       var ep = entryPoint
       var lc = maxLevel

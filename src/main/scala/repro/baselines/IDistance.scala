@@ -24,11 +24,11 @@ object IDistance extends AnnMethod {
       // per pivot: ids sorted by distance-to-pivot, plus the parallel dists
       byPivot: Array[(Array[Long], Array[Double])],
       r0: Double, dr: Double,
-      val buildMillis: Long) extends AnnIndex {
+      val buildMillis: Long) extends AnnIndex(Common.dimOf(data)) {
 
     override def name = "idistance"
 
-    override def search(q: Array[Float], k: Int): Array[(Long, Double)] = {
+    override protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)] = {
       val dq = pivots.map(p => Distance.l2(q, p))
       // per pivot scan state: expanding [lo, hi) window over the sorted dists
       val lo = new Array[Int](pivots.length)

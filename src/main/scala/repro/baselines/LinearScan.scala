@@ -35,9 +35,9 @@ object LinearScan extends AnnMethod {
     queries.indices.toArray.map(qi => merged.getOrElse(qi, Array.empty))
   }
 
-  final class Index(data: Array[Array[Float]], val buildMillis: Long) extends AnnIndex {
+  final class Index(data: Array[Array[Float]], val buildMillis: Long) extends AnnIndex(Common.dimOf(data)) {
     override def name = "linear"
-    override def search(q: Array[Float], k: Int): Array[(Long, Double)] =
+    override protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)] =
       Distance.topK(data.iterator.zipWithIndex.map { case (v, i) => i.toLong -> Distance.l2(v, q) }, k)
     override def indexBytes: Long = 0L // scans the raw data; no index
   }

@@ -26,13 +26,12 @@ object Pq extends AnnMethod {
       codebooks: Array[Array[Array[Float]]], // M × K × subDim
       codes: Array[Array[Byte]],      // n × M
       val buildMillis: Long,
-      override val name: String) extends AnnIndex {
+      override val name: String) extends AnnIndex(Common.dimOf(rotated)) {
 
     private val mSub = codebooks.length
-    private val dim  = rotated.head.length
     private val subDims: Array[(Int, Int)] = Pq.subRanges(dim, mSub)
 
-    override def search(q: Array[Float], k: Int): Array[(Long, Double)] = {
+    override protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)] = {
       val rq = rotation.map(r => Pq.rotate(r, q)).getOrElse(q)
       // ADC tables: exact distance from the query sub-vector to each centroid
       val tables = Array.tabulate(mSub) { s =>

@@ -25,12 +25,12 @@ object Qalsh extends AnnMethod {
       w: Double,
       projs: Array[Array[Float]], // n × m raw projections
       collisionThreshold: Int, betaN: Int,
-      val buildMillis: Long) extends AnnIndex {
+      val buildMillis: Long) extends AnnIndex(Common.dimOf(data)) {
 
     override def name = "qalsh"
     private val m = projections.length
 
-    override def search(q: Array[Float], k: Int): Array[(Long, Double)] = {
+    override protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)] = {
       val qp = Array.tabulate(m)(i => Common.dot(q, projections(i)))
       val nCand = math.min(data.length, betaN + k)
       // the nCand smallest by (qualifying level, id) are the candidates

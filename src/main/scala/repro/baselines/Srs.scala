@@ -23,12 +23,12 @@ object Srs extends AnnMethod {
       projections: Array[Array[Float]],
       projected: Array[Array[Float]], // n × m
       t: Double, earlyTau: Double,
-      val buildMillis: Long) extends AnnIndex {
+      val buildMillis: Long) extends AnnIndex(Common.dimOf(data)) {
 
     override def name = "srs"
     private val m = projections.length
 
-    override def search(q: Array[Float], k: Int): Array[(Long, Double)] = {
+    override protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)] = {
       val qp = projections.map(p => Common.dot(q, p).toFloat)
       // incremental NN in projected space == scan in ascending projected distance
       val order = projected.indices.sortBy { i =>

@@ -6,12 +6,12 @@ import repro.baselines.{AnnIndex, AnnMethod}
 
 /** Adapter exposing a built HD-Index through the common [[AnnIndex]]
   * interface used by the benchmark harness, so Table 5 treats HD-Index and
-  * every baseline uniformly.
+  * every baseline uniformly. Multicurves extends it with an m = 0 model.
   */
-final class HdAnnIndex(val model: HdIndexModel, val params: QueryParams,
-                       data: Array[Array[Float]]) extends AnnIndex {
+class HdAnnIndex(val model: HdIndexModel, val params: QueryParams,
+                 data: Array[Array[Float]]) extends AnnIndex(model.cfg.dim) {
   override def name = "hdindex"
-  override def search(q: Array[Float], k: Int): Array[(Long, Double)] =
+  override protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)] =
     HdQuery.searchLocal(model, q, params.copy(k = k), id => data(id.toInt))._1
   override def indexBytes: Long = model.indexBytes
   override def buildMillis: Long = model.buildMillis

@@ -14,6 +14,8 @@ final case class HdIndexConfig(
   // domain would map every vector to one clamped cell
   require(java.lang.Double.isFinite(lo) && java.lang.Double.isFinite(hi) && lo < hi,
           s"need finite lo < hi, got lo=$lo hi=$hi")
+  // m = 0 is a reference-free index (Multicurves): every bound is 0
+  require(m >= 0, s"m must be non-negative, got $m")
 }
 
 /** Driver-side view of one RDB-tree: entries in global Hilbert-key order.
@@ -75,7 +77,9 @@ object HdIndex {
 
   /** Build from a distributed dataset. `localData` is the driver-side copy
     * used for reference selection (the paper scans the dataset for SSS) and
-    * must equal the distributed content.
+    * must equal the distributed content. The τ trees come from one
+    * [[RdbTree.build]] job, collected. With m = 0 the model has no
+    * references, a 0×0 `refMatrix` and empty refdists: Multicurves' index.
     */
   def build(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
             cfg: HdIndexConfig): HdIndexModel = {
@@ -92,21 +96,11 @@ object HdIndex {
       (i, j) => Distance.l2(refs(i), refs(j))
     }
 
-    val (trees, refdistsById) = collectTrees(spark, data, refs, cfg, localData.length)
-    new HdIndexModel(cfg, localData.length.toLong, refIds, refs, refMatrix, trees, refdistsById,
-                     (System.nanoTime() - t0) / 1000000L)
-  }
-
-  /** The τ trees over the n objects of `data` (ids 0 until n) on the
-    * driver, and each object's distances to `refs` by id: one
-    * [[RdbTree.build]] job, collected.
-    */
-  def collectTrees(spark: SparkSession, data: Dataset[VecRow], refs: Array[Array[Float]],
-                   cfg: HdIndexConfig, n: Int): (Array[LocalTree], Array[Array[Float]]) = {
     // The build's range partitioning plus per-partition sort is a global
     // (treeId, hkey, id) sort, and collect() keeps partition order: tree t
     // is the slice [t·n, (t+1)·n), already in key order. The checks below
     // cost one pass and fail loudly if that ever stops holding.
+    val n = localData.length
     val collected = RdbTree.build(spark, data, refs, cfg.dim, cfg.tau, cfg.omega,
                                   cfg.lo, cfg.hi).collect()
     val parts = RdbTree.partitions(cfg.dim, cfg.tau)
@@ -132,7 +126,8 @@ object HdIndex {
       }
       LocalTree(t, from, width, keys, ids)
     }
-    (trees, refdistsById)
+    new HdIndexModel(cfg, n.toLong, refIds, refs, refMatrix, trees, refdistsById,
+                     (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Sec. 3.6 insertion: B+-trees are update-friendly, so a new object only

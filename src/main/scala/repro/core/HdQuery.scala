@@ -247,9 +247,9 @@ object HdQuery {
   /** Wrong-dimension and NaN vectors (queries, and inserted objects named
     * by `what`) fail here instead of deep in the Hilbert encoder, which
     * would read past a short vector, use a prefix of a long one, or map NaN
-    * to cell 0.
+    * to cell 0. Every `AnnIndex.search` checks its query here too.
     */
-  private[core] def checkQuery(q: Array[Float], dim: Int, what: String = "query"): Unit = {
+  private[repro] def checkQuery(q: Array[Float], dim: Int, what: String = "query"): Unit = {
     require(q.length == dim, s"$what has ${q.length} dimensions, the index has $dim")
     var i = 0
     while (i < q.length) {

@@ -6,6 +6,8 @@ package repro.core
   * (sparse spatial selection, the recommended method) and SSS-Dyn. All run
   * on the driver over the materialized dataset — m = 10 and our scaled n
   * make this cheap; the paper's own analysis treats this step as O(m²·n).
+  * Each returns no references for m = 0 (a reference-free index) and
+  * rejects a negative m.
   */
 object ReferenceSelection {
 
@@ -39,6 +41,7 @@ object ReferenceSelection {
 
   /** m uniformly random reference objects (baseline in Fig. 4). */
   def random(data: Array[Array[Float]], m: Int, seed: Long = 7): Array[Int] = {
+    require(m >= 0, s"m must be non-negative, got $m")
     val rng = new scala.util.Random(seed)
     val ids = scala.collection.mutable.LinkedHashSet.empty[Int]
     while (ids.size < math.min(m, data.length)) ids += rng.nextInt(data.length)
@@ -52,6 +55,8 @@ object ReferenceSelection {
     * farthest from the current set — keeps the method total.
     */
   def sss(data: Array[Array[Float]], m: Int, f: Double = 0.3, seed: Long = 7): Array[Int] = {
+    require(m >= 0, s"m must be non-negative, got $m")
+    if (m == 0) return Array.empty
     val dmax = estimateDMax(data, seed = seed)
     val thr  = f * dmax
     val rng  = new scala.util.Random(seed)
@@ -87,6 +92,8 @@ object ReferenceSelection {
     */
   def sssDyn(data: Array[Array[Float]], m: Int, f: Double = 0.3,
              nPairs: Int = 200, seed: Long = 7): Array[Int] = {
+    require(m >= 0, s"m must be non-negative, got $m")
+    if (m == 0) return Array.empty
     val dmax = estimateDMax(data, seed = seed)
     val thr  = f * dmax
     val rng  = new scala.util.Random(seed)

@@ -2,6 +2,7 @@ package repro
 
 import repro.core._
 import repro.baselines._
+import repro.harness.Harness
 
 /** End-to-end comparison on the tiny clustered dataset: the paper's
   * qualitative ordering (Table 5 / Fig. 10) should already show up at this
@@ -81,5 +82,17 @@ class IntegrationSpec extends SparkSpec {
     val idx = new HdIndexMethod(alphaOverride = 256).build(spark, spec, spec.data(spark), local)
     assert(idx.name == "hdindex")
     assert(idx.search(queries(0).vec, 10).length == 10)
+  }
+
+  test("every method rejects a NaN, short or long query and k = 0") {
+    val q = queries(0).vec
+    val nan = q.clone()
+    nan(spec.dim / 2) = Float.NaN
+    val bad = Seq(("NaN", nan, 10), ("short", q.init, 10), ("long", q :+ 0f, 10), ("k = 0", q, 0))
+    Harness.methods().foreach { m =>
+      val idx = m.build(spark, spec, spec.data(spark), local)
+      for ((what, v, k) <- bad)
+        withClue(s"${m.name}, $what: ")(intercept[IllegalArgumentException](idx.search(v, k)))
+    }
   }
 }

@@ -13,6 +13,9 @@ object TestFixtures {
   lazy val tinyLocal: Array[Array[Float]] = tiny.localData
   lazy val tinyModel: HdIndexModel =
     HdIndex.build(spark, tiny.data(spark), tinyLocal, HdIndex.configFor(tiny))
+  /** The same trees with no references (m = 0): Multicurves' index. */
+  lazy val tinyCurves: HdIndexModel =
+    HdIndex.build(spark, tiny.data(spark), tinyLocal, HdIndex.configFor(tiny).copy(m = 0))
   lazy val tinyQueries: Array[VecRow] = tiny.queries
   lazy val tinyTruth: Array[Array[(Long, Double)]] =
     repro.baselines.LinearScan.groundTruth(spark, tiny.data(spark), tinyQueries, 100)

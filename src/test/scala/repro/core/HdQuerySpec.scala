@@ -283,8 +283,11 @@ class HdQuerySpec extends SparkSpec {
     }
     val getCopy: Long => Array[Float] =
       id => TestFixtures.getVec(if (id < model.n) id else source((id - model.n).toInt))
+    // no references (Multicurves): every bound is 0
+    val curves = TestFixtures.tinyCurves
+    assert(curves.refs.isEmpty)
     for ((m, getVec) <- Seq(model -> TestFixtures.getVec _, withDeletes -> TestFixtures.getVec _,
-                            withCopies -> getCopy);
+                            withCopies -> getCopy, curves -> TestFixtures.getVec _);
          p <- settings; qr <- queries) {
       val (ans, stats) = HdQuery.searchLocal(m, qr.vec, p, getVec)
       val (refAns, refStats) = pipelineReference(m, qr.vec, p, getVec)

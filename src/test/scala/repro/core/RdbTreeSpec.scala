@@ -151,6 +151,17 @@ class RdbTreeSpec extends SparkSpec {
     }
   }
 
+  test("m = 0 builds the same trees with no references, and a negative m is rejected") {
+    assertThrows[IllegalArgumentException](model.cfg.copy(m = -1))
+    val curves = TestFixtures.tinyCurves
+    assert(curves.refIds.isEmpty && curves.refs.isEmpty && curves.refMatrix.isEmpty)
+    assert(curves.refdistsById.length == spec.n && curves.refdistsById.forall(_.isEmpty))
+    curves.trees.zip(model.trees).foreach { case (a, b) =>
+      assert(a.keys.corresponds(b.keys)((x, y) => java.util.Arrays.equals(x, y)))
+      assert(a.ids.sameElements(b.ids))
+    }
+  }
+
   test("index size estimate is linear-ish in n (Sec. 3.5.2)") {
     val bytesPerObj = model.indexBytes.toDouble / model.n
     // tau trees, entry ~ (eta*omega/8 + 4m + 8) bytes + page slack

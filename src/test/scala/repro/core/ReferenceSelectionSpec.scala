@@ -77,6 +77,15 @@ class ReferenceSelectionSpec extends AnyFunSuite {
            "SSS-Dyn should be comparable or better on the lower-bound objective")
   }
 
+  test("every method selects no references for m = 0 and rejects a negative m") {
+    assert(ReferenceSelection.random(data, 0).isEmpty)
+    assert(ReferenceSelection.sss(data, 0).isEmpty)
+    assert(ReferenceSelection.sssDyn(data, 0).isEmpty)
+    assertThrows[IllegalArgumentException](ReferenceSelection.random(data, -1))
+    assertThrows[IllegalArgumentException](ReferenceSelection.sss(data, -1))
+    assertThrows[IllegalArgumentException](ReferenceSelection.sssDyn(data, -1))
+  }
+
   test("selection works on degenerate tiny datasets") {
     val two = Array(Array(0f, 0f), Array(1f, 1f))
     assert(ReferenceSelection.random(two, 5).length == 2) // capped at n
