@@ -25,6 +25,58 @@ object Distance {
   /** L2 distance. */
   def l2(a: Array[Float], b: Array[Float]): Double = math.sqrt(l2sq(a, b))
 
+  /** Coordinates summed between the early-stop checks of [[l2sq4]]. */
+  private final val Block = 64
+
+  /** `l2sq(a, q)`, `l2sq(b, q)`, `l2sq(c, q)` and `l2sq(d, q)` into
+    * out(0 to 3), summed side by side: four independent accumulators, each
+    * in [[l2sq]]'s own order, so a completed lane is bit-identical to
+    * [[l2sq]]. After each block of 64 coordinates it stops early if all
+    * four partial sums exceed `cap`; a partial sum of squares never
+    * decreases, so each lane's full sum then exceeds `cap` too.
+    *
+    * @return the coordinates summed per lane: q.length when out holds the
+    *         four full sums, fewer when it stopped early and out holds
+    *         partial sums
+    */
+  def l2sq4(q: Array[Float], a: Array[Float], b: Array[Float], c: Array[Float], d: Array[Float],
+            cap: Double, out: Array[Double]): Int = {
+    val n = q.length
+    require(a.length == n && b.length == n && c.length == n && d.length == n,
+            s"dim mismatch ${a.length}, ${b.length}, ${c.length}, ${d.length} vs $n")
+    var s0, s1, s2, s3 = 0.0
+    var i = 0
+    var stop = false
+    while (i < n && !stop) {
+      val end = math.min(i + Block, n)
+      while (i < end) {
+        val x = q(i).toDouble
+        val d0 = a(i).toDouble - x; s0 += d0 * d0
+        val d1 = b(i).toDouble - x; s1 += d1 * d1
+        val d2 = c(i).toDouble - x; s2 += d2 * d2
+        val d3 = d(i).toDouble - x; s3 += d3 * d3
+        i += 1
+      }
+      stop = i < n && s0 > cap && s1 > cap && s2 > cap && s3 > cap
+    }
+    out(0) = s0; out(1) = s1; out(2) = s2; out(3) = s3
+    i
+  }
+
+  /** The largest x with `math.sqrt(x) <= worst`, so that a squared
+    * distance above it is a distance above `worst`: the `cap` of [[l2sq4]]
+    * for a top-k whose k-th distance is `worst` (+∞ for +∞).
+    */
+  def sqCap(worst: Double): Double = {
+    require(worst >= 0, s"worst must be non-negative, got $worst")
+    if (worst == Double.PositiveInfinity) return worst
+    // sqrt is correctly rounded, hence monotone: step to the edge from worst²
+    var x = worst * worst
+    while (math.sqrt(x) > worst) x = Math.nextDown(x)
+    while (math.sqrt(Math.nextUp(x)) <= worst) x = Math.nextUp(x)
+    x
+  }
+
   /** The k smallest (distance, id) pairs offered, ordered by distance
     * (`java.lang.Double.compare`) and then by id: a bounded max-heap held in
     * two primitive arrays, so no pair is boxed before [[result]]. The one

@@ -136,10 +136,12 @@ object HdIndex {
     * Fig. 4, and updates are few relative to n). Each tree gets the new
     * entry at its (key, id) position.
     *
-    * @param id must be the next dense id (== current n)
+    * @param id must be the next dense id (== current n), below
+    *           `Int.MaxValue`: a query packs ids into 31 bits
     * @return a new model sharing cfg/references with the entry inserted
     */
   def insert(model: HdIndexModel, id: Long, vec: Array[Float]): HdIndexModel = {
+    require(id < Int.MaxValue, s"id $id does not fit: ids must be below ${Int.MaxValue}")
     require(id == model.n, s"ids must stay dense: expected ${model.n}, got $id")
     val cfg = model.cfg
     HdQuery.checkQuery(vec, cfg.dim, "inserted vector")

@@ -32,8 +32,13 @@ final case class QueryStats(leafPages: Long, randomAccesses: Long, kappa: Int)
   * search ([[selectWindow]]: O(log n + log α) key comparisons). The rest of
   * a query runs in primitive arrays reused across the τ trees: the filters
   * cut to β and γ by in-place selection over packed (bound, position)
-  * longs, the survivors are de-duplicated by sorting, and the exact rerank
-  * keeps the top k by (distance, id) in a [[Distance.TopK]].
+  * longs, each object's bounds computed once per query and remembered by
+  * id. A survivor is one (bound, id) long, so one sort de-duplicates the
+  * survivors and orders them by bound. The exact rerank then runs in that
+  * order, four candidates at a time ([[Distance.l2sq4]]), gives up on a
+  * group once all four are beyond the current k-th distance, and keeps the
+  * top k by (distance, id) in a [[Distance.TopK]]: the answer is the full
+  * rerank's, bit for bit.
   */
 object HdQuery {
 
@@ -135,10 +140,12 @@ object HdQuery {
 
   /** A non-negative bound's float bits (order-preserving for non-negative
     * floats) above a position: longs that order by (bound, position), so
-    * ties break by position in the window.
+    * ties break by position in the window. A survivor keeps the bound's
+    * word (`& BoundMask`) and swaps the position for its id.
     */
-  private def pack(bound: Double, pos: Int): Long =
-    (java.lang.Float.floatToIntBits(bound.toFloat).toLong << 32) | pos.toLong
+  private def pack(boundBits: Int, pos: Int): Long = (boundBits.toLong << 32) | pos.toLong
+
+  private final val BoundMask = 0xFFFFFFFF00000000L
 
   /** Rearranges a[0, n) so that a[0, k) holds its k smallest values, in no
     * particular order (quickselect with median-of-three pivots).
@@ -171,23 +178,58 @@ object HdQuery {
   /** One query's filter and rerank state (Algo. 2 lines 5–16), in
     * primitive arrays sized once per query and reused by every tree.
     *
+    * A bound depends only on the query and the object's refdists, not on
+    * the tree, so each is computed once per query: `triMemo` and `ptoMemo`
+    * hold, by id, the bound's float bits with the sign bit set once known.
+    * A survivor is packed as (bound bits, id), the bound being the one that
+    * admitted it (triangular, or Ptolemaic when that filter is on); an id
+    * has the same bound in every tree.
+    *
     * @param maxWindow the largest window any tree can return, min(α, n)
+    * @param nIds      the trees hold ids in [0, nIds)
     */
-  private final class Kernel(dq: Array[Double], refMatrix: Array[Array[Double]], p: QueryParams,
-                             maxWindow: Int, trees: Int) {
+  private final class Kernel(dq: Array[Double], refMatrix: Array[Array[Double]],
+                             refdistsById: Array[Array[Float]], p: QueryParams,
+                             maxWindow: Int, trees: Int, nIds: Int) {
     private val packed    = new Array[Long](maxWindow)
     private val betaPos   = new Array[Int](if (p.usePtolemaic) math.min(maxWindow, p.beta) else 0)
     private val survivors = new Array[Long](trees * math.min(maxWindow, p.gamma))
     private var nSurvivors = 0
+    private val triMemo   = new Array[Int](nIds)
+    private val ptoMemo   = new Array[Int](if (p.usePtolemaic) nIds else 0)
+    // the rerank's group of four: vectors, their ids, their squared distances
+    private val group     = new Array[Array[Float]](4)
+    private val groupIds  = new Array[Long](4)
+    private val sums      = new Array[Double](4)
+
+    private def triBits(id: Int): Int = {
+      val known = triMemo(id)
+      if (known < 0) known & Int.MaxValue
+      else {
+        val bits = java.lang.Float.floatToIntBits(triBound(dq, refdistsById(id)).toFloat)
+        triMemo(id) = bits | Int.MinValue
+        bits
+      }
+    }
+
+    private def ptoBits(id: Int): Int = {
+      val known = ptoMemo(id)
+      if (known < 0) known & Int.MaxValue
+      else {
+        val bits = java.lang.Float.floatToIntBits(ptolemaicBound(dq, refdistsById(id), refMatrix).toFloat)
+        ptoMemo(id) = bits | Int.MinValue
+        bits
+      }
+    }
 
     /** Lines 5–10 for the window [s, e) of one tree: triangular filter,
-      * optional Ptolemaic filter, and the γ surviving ids kept.
+      * optional Ptolemaic filter, and the γ surviving (bound, id) kept.
       */
-    def filter(ids: Array[Long], s: Int, e: Int, refdistsById: Array[Array[Float]]): Unit = {
+    def filter(ids: Array[Long], s: Int, e: Int): Unit = {
       val w = e - s
       var i = 0
       while (i < w) {
-        packed(i) = pack(triBound(dq, refdistsById(ids(s + i).toInt)), i)
+        packed(i) = pack(triBits(ids(s + i).toInt), i)
         i += 1
       }
       if (!p.usePtolemaic) {
@@ -195,7 +237,7 @@ object HdQuery {
         selectSmallest(packed, w, g)
         i = 0
         while (i < g) {
-          survivors(nSurvivors) = ids(s + packed(i).toInt)
+          survivors(nSurvivors) = (packed(i) & BoundMask) | ids(s + packed(i).toInt)
           nSurvivors += 1
           i += 1
         }
@@ -207,14 +249,14 @@ object HdQuery {
         var j = 0
         while (j < b) {
           betaPos(j) = s + packed(j).toInt
-          packed(j) = pack(ptolemaicBound(dq, refdistsById(ids(betaPos(j)).toInt), refMatrix), j)
+          packed(j) = pack(ptoBits(ids(betaPos(j)).toInt), j)
           j += 1
         }
         val g = math.min(b, p.gamma)
         selectSmallest(packed, b, g)
         j = 0
         while (j < g) {
-          survivors(nSurvivors) = ids(betaPos(packed(j).toInt))
+          survivors(nSurvivors) = (packed(j) & BoundMask) | ids(betaPos(packed(j).toInt))
           nSurvivors += 1
           j += 1
         }
@@ -224,23 +266,49 @@ object HdQuery {
     /** Lines 11–16: the distinct survivors not marked deleted (Sec. 3.6)
       * are the κ candidates; returns their top-k by exact distance,
       * ascending by (distance, id), and κ.
+      *
+      * Sorting the survivors puts an id's copies side by side and orders
+      * the candidates by bound, so near ones come first and `worst`
+      * tightens early. They are reranked four at a time by
+      * [[Distance.l2sq4]], which gives up on a group once all four are
+      * beyond `worst`: [[Distance.TopK.offer]] would reject each of them,
+      * so the answer is the full rerank's. A last group of fewer than four
+      * is padded with q, whose lanes are never offered.
       */
     def answer(q: Array[Float], getVec: Long => Array[Float], k: Int,
                deleted: scala.collection.Set[Long]): (Array[(Long, Double)], Int) = {
       java.util.Arrays.sort(survivors, 0, nSurvivors)
       val anyDeleted = deleted.nonEmpty
       val top = new Distance.TopK(math.min(k, nSurvivors))
+      var filled = 0
       var kappa = 0
       var i = 0
       while (i < nSurvivors) {
-        val id = survivors(i)
-        if ((i == 0 || id != survivors(i - 1)) && !(anyDeleted && deleted.contains(id))) {
-          top.offer(id, Distance.l2(getVec(id), q))
+        val id = survivors(i) & Int.MaxValue
+        if ((i == 0 || survivors(i) != survivors(i - 1)) && !(anyDeleted && deleted.contains(id))) {
+          group(filled) = getVec(id)
+          groupIds(filled) = id
+          filled += 1
           kappa += 1
+          if (filled == 4) { rerank(q, top, filled); filled = 0 }
         }
         i += 1
       }
+      if (filled > 0) rerank(q, top, filled)
       (top.result(), kappa)
+    }
+
+    /** Offers the first `filled` vectors of `group` to `top`, unless all of
+      * them are beyond its `worst`.
+      */
+    private def rerank(q: Array[Float], top: Distance.TopK, filled: Int): Unit = {
+      var j = filled
+      while (j < 4) { group(j) = q; j += 1 }
+      if (Distance.l2sq4(q, group(0), group(1), group(2), group(3), Distance.sqCap(top.worst), sums)
+            == q.length) {
+        j = 0
+        while (j < filled) { top.offer(groupIds(j), math.sqrt(sums(j))); j += 1 }
+      }
     }
   }
 
@@ -260,20 +328,26 @@ object HdQuery {
 
   // ---- search -----------------------------------------------------------
 
+  /** Algo. 2 on the driver: the top-k of q by (distance, id), and the
+    * query's cost counters. Ids are `Int`s inside, so the model may hold at
+    * most `Int.MaxValue` objects.
+    */
   def searchLocal(model: HdIndexModel, q: Array[Float], p: QueryParams,
                   getVec: Long => Array[Float]): (Array[(Long, Double)], QueryStats) = {
     val cfg = model.cfg
+    require(model.n <= Int.MaxValue, s"the index holds ${model.n} objects, at most ${Int.MaxValue} are supported")
     checkQuery(q, cfg.dim)
     val dq  = model.refs.map(r => Distance.l2(q, r))
-    val kernel = new Kernel(dq, model.refMatrix, p, math.min(p.alpha.toLong, model.n).toInt,
-                            model.trees.length)
+    val kernel = new Kernel(dq, model.refMatrix, model.refdistsById, p,
+                            math.min(p.alpha.toLong, model.n).toInt, model.trees.length,
+                            model.refdistsById.length)
     var pages = 0L
     var t = 0
     while (t < model.trees.length) {
       val tree  = model.trees(t)
       val qkey  = Hilbert(tree.width, cfg.omega).encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
       val (s, e) = selectWindow(tree.keys, qkey, p.alpha)
-      kernel.filter(tree.ids, s, e, model.refdistsById)
+      kernel.filter(tree.ids, s, e)
       pages += model.treeHeight(t) + (e - s + model.leafOrder(t) - 1) / model.leafOrder(t)
       t += 1
     }

@@ -86,4 +86,67 @@ class DistanceSpec extends AnyFunSuite {
     }
     assert(tiedAtK > 50, s"only $tiedAtK inputs tied at the k-th distance")
   }
+
+  test("property: l2sq4 equals l2sq bit-for-bit, and stops early only past the cap") {
+    // dimensions 1-200 put 64-coordinate block edges and short tails in
+    // every position; lanes are random vectors or copies of q, and caps sit
+    // at +inf, at 0, at a lane's exact l2sq and just below it
+    val gen = for {
+      dim   <- Gen.choose(1, 200)
+      seed  <- Gen.choose(0L, Long.MaxValue)
+      kinds <- Gen.listOfN(4, Gen.choose(0, 3))
+      capAt <- Gen.choose(0, 4)
+      lane  <- Gen.choose(0, 3)
+    } yield (dim, seed, kinds, capAt, lane)
+    var stopped, completed = 0
+    forAllSamples(gen, n = 2000) { case (dim, seed, kinds, capAt, lane) =>
+      val rng = new scala.util.Random(seed)
+      val q = Array.fill(dim)((rng.nextGaussian() * 10).toFloat)
+      val lanes = kinds.map(kind => if (kind == 0) q.clone() else Array.fill(dim)((rng.nextGaussian() * 10).toFloat))
+      val full = lanes.map(v => Distance.l2sq(v, q))
+      val cap = capAt match {
+        case 0 => Double.PositiveInfinity
+        case 1 => 0.0
+        case 2 => full(lane)
+        case 3 => Math.nextDown(full(lane))
+        case _ => full(lane) * rng.nextDouble()
+      }
+      val out = new Array[Double](4)
+      val summed = Distance.l2sq4(q, lanes(0), lanes(1), lanes(2), lanes(3), cap, out)
+      if (summed == dim) {
+        completed += 1
+        for (j <- 0 until 4)
+          assert(java.lang.Double.doubleToRawLongBits(out(j)) == java.lang.Double.doubleToRawLongBits(full(j)),
+                 s"lane $j of dim $dim: ${out(j)} vs ${full(j)}")
+      } else {
+        stopped += 1
+        assert(summed > 0 && summed < dim && summed % 64 == 0, s"stopped after $summed of $dim")
+        for (j <- 0 until 4) {
+          assert(out(j) > cap && out(j) <= full(j), s"lane $j of dim $dim")
+          assert(full(j) > cap)
+        }
+      }
+    }
+    assert(stopped > 50 && completed > 50, s"$stopped stopped early, $completed completed")
+  }
+
+  test("l2sq4 rejects lanes of another dimension") {
+    val q = new Array[Float](3)
+    assertThrows[IllegalArgumentException](
+      Distance.l2sq4(q, q, q, new Array[Float](2), q, 0.0, new Array[Double](4)))
+  }
+
+  test("property: sqCap is the largest x with sqrt(x) <= worst") {
+    val worst = Gen.oneOf(
+      Gen.choose(0.0, 1e4),
+      Gen.choose(-320.0, 300.0).map(math.pow(10, _)), // subnormal to huge squares
+      Gen.choose(0, 1000).map(_.toDouble),
+      Gen.const(0.0), Gen.const(Double.MinPositiveValue), Gen.const(Double.MaxValue))
+    forAllSamples(worst, n = 2000) { w =>
+      val cap = Distance.sqCap(w)
+      assert(math.sqrt(cap) <= w && w < math.sqrt(Math.nextUp(cap)), s"worst $w, cap $cap")
+    }
+    assert(Distance.sqCap(Double.PositiveInfinity) == Double.PositiveInfinity)
+    assertThrows[IllegalArgumentException](Distance.sqCap(-1.0))
+  }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalacheck.Gen
-import repro.{Oracle, PropHelpers, SparkSpec, TestFixtures, VecRow}
+import repro.{Oracle, PropHelpers, SparkSpec, TestFixtures, VecRow, VectorData}
 import repro.baselines.LinearScan
 
 class HdQuerySpec extends SparkSpec {
@@ -259,6 +259,15 @@ class HdQuerySpec extends SparkSpec {
     (ans, QueryStats(pages, cands.size.toLong, cands.size))
   }
 
+  /** 160 integer coordinates in [0, 3]: past the rerank's first
+    * 64-coordinate block, where it may stop early, and with many exact ties
+    * between distances.
+    */
+  private lazy val wide = VectorData.tiny.copy(name = "wide", dim = 160, n = 1000, lo = 0, hi = 3,
+                                               integerValued = true, stdFrac = 0.3)
+  private lazy val wideLocal = wide.localData
+  private lazy val wideModel = HdIndex.build(spark, wide.data(spark), wideLocal, HdIndex.configFor(wide))
+
   test("searchLocal equals the sort/Set/topK pipeline (answers and stats)") {
     val n = model.n.toInt
     val settings = Seq(
@@ -269,7 +278,9 @@ class HdQuerySpec extends SparkSpec {
       QueryParams(10, 64, 64, 64, usePtolemaic = true),
       QueryParams(100, 64, 32, 8, usePtolemaic = true), // fewer candidates than k
       QueryParams(10, n + 5, n + 5, 100),               // alpha >= n
-      QueryParams(10, n + 5, 300, 100, usePtolemaic = true))
+      QueryParams(10, n + 5, 300, 100, usePtolemaic = true),
+      QueryParams(1, 256, 256, 64),                     // k = 1: most of the rerank is beyond worst
+      QueryParams(5, 256, 256, 64, usePtolemaic = true))
     // a private copy of the model, so marks don't leak into shared fixtures
     val withDeletes = new HdIndexModel(model.cfg, model.n, model.refIds, model.refs, model.refMatrix,
                                        model.trees, model.refdistsById, model.buildMillis)
@@ -286,13 +297,51 @@ class HdQuerySpec extends SparkSpec {
     // no references (Multicurves): every bound is 0
     val curves = TestFixtures.tinyCurves
     assert(curves.refs.isEmpty)
-    for ((m, getVec) <- Seq(model -> TestFixtures.getVec _, withDeletes -> TestFixtures.getVec _,
-                            withCopies -> getCopy, curves -> TestFixtures.getVec _);
-         p <- settings; qr <- queries) {
+    var tiedAtK = 0
+    for ((m, getVec, qs) <- Seq((model, TestFixtures.getVec _, queries), (withDeletes, TestFixtures.getVec _, queries),
+                                (withCopies, getCopy, queries), (curves, TestFixtures.getVec _, queries),
+                                (wideModel, (id: Long) => wideLocal(id.toInt), wide.queries));
+         p <- settings; qr <- qs) {
       val (ans, stats) = HdQuery.searchLocal(m, qr.vec, p, getVec)
       val (refAns, refStats) = pipelineReference(m, qr.vec, p, getVec)
       assert(ans.toSeq == refAns.toSeq, s"answers differ for query ${qr.id} under $p")
       assert(stats == refStats, s"stats differ for query ${qr.id} under $p")
+      val next = pipelineReference(m, qr.vec, p.copy(k = p.k + 1), getVec)._1
+      if (next.length > p.k && next(p.k - 1)._2 == next(p.k)._2) tiedAtK += 1
+    }
+    assert(tiedAtK > 20, s"only $tiedAtK answers tie at the k-th distance")
+  }
+
+  test("answers do not depend on the number of query threads") {
+    val ps = Seq(params, QueryParams(10, 256, 256, 64, usePtolemaic = true))
+    def all(): Seq[Seq[(Long, Double)]] =
+      for (p <- ps; qr <- queries) yield HdQuery.searchLocal(model, qr.vec, p, TestFixtures.getVec)._1.toSeq
+    val single = all()
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val runs = (0 until 4).map(_ => pool.submit(() => (0 until 5).map(_ => all())))
+      runs.foreach(_.get().foreach(got => assert(got == single)))
+    } finally pool.shutdown()
+  }
+
+  /** A model of n objects with no references and no trees. */
+  private def emptyModel(n: Long): HdIndexModel =
+    new HdIndexModel(HdIndexConfig(dim = 4, tau = 1, omega = 8, lo = 0, hi = 1, m = 0), n,
+                     Array.empty, Array.empty, Array.empty, Array.empty, Array.empty, 0L)
+
+  test("searchLocal rejects an index of more than Int.MaxValue objects") {
+    val q = new Array[Float](4)
+    val e = intercept[IllegalArgumentException](
+      HdQuery.searchLocal(emptyModel(1L << 31), q, params, _ => q))
+    assert(e.getMessage.contains(s"${1L << 31} objects"), e.getMessage)
+    assert(HdQuery.searchLocal(emptyModel(Int.MaxValue), q, params, _ => q)._1.isEmpty)
+  }
+
+  test("insert rejects the id Int.MaxValue and above") {
+    val v = new Array[Float](4)
+    for (n <- Seq(Int.MaxValue.toLong, 1L << 31)) {
+      val e = intercept[IllegalArgumentException](HdIndex.insert(emptyModel(n), n, v))
+      assert(e.getMessage.contains(s"id $n does not fit"), e.getMessage)
     }
   }
 
