@@ -18,7 +18,6 @@ class PtolemaicBench extends SparkSpec {
     val queries = spec.queries
     val truth = LinearScan.groundTruth(spark, spec.data(spark), queries, 10)
     def evalParams(p: QueryParams): (Double, Double) = {
-      queries.foreach(q => HdQuery.searchLocal(model, q.vec, p, id => local(id.toInt))) // warmup
       val t0 = System.nanoTime()
       val per = queries.zipWithIndex.map { case (q, qi) =>
         val (ans, _) = HdQuery.searchLocal(model, q.vec, p, id => local(id.toInt))
@@ -34,6 +33,9 @@ class PtolemaicBench extends SparkSpec {
       ("tri+pto a/b=1, b/g=4",     QueryParams(10, alpha, alpha, alpha / 4, usePtolemaic = true)),
       ("tri alpha/gamma=16",       QueryParams(10, alpha, alpha / 16, alpha / 16)),
       ("tri+pto a/b=1, b/g=16",    QueryParams(10, alpha, alpha, alpha / 16, usePtolemaic = true)))
+    // warm every configuration before timing any: otherwise the first one
+    // is timed on code the JIT has not compiled yet
+    for ((_, p) <- configs; q <- queries) HdQuery.searchLocal(model, q.vec, p, id => local(id.toInt))
     val out = configs.map { case (name, p) =>
       val (m, ms) = evalParams(p)
       println(f"$name%-28s $m%8.3f $ms%9.3f")

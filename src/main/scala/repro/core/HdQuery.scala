@@ -12,9 +12,9 @@ final case class QueryParams(k: Int, alpha: Int, beta: Int, gamma: Int,
 }
 
 object QueryParams {
-  /** Recommended setting for a dataset of size n: α = 4096 scaled with n
-    * (the paper's α at SIFT1M examined ~0.4% of the DB; we keep the α/γ = 4
-    * ratio and never let α drop below 16k-neighbourhood of k).
+  /** The paper's recommended ratios (Sec. 5.2) for the caller's α:
+    * triangular only, β = γ = max(k, α/4); with the Ptolemaic filter,
+    * β = α and γ = max(k, α/4).
     */
   def recommended(k: Int, alpha: Int, usePtolemaic: Boolean = false): QueryParams =
     if (usePtolemaic) QueryParams(k, alpha, alpha, math.max(k, alpha / 4), usePtolemaic = true)
@@ -30,21 +30,31 @@ final case class QueryStats(leafPages: Long, randomAccesses: Long, kappa: Int)
 /** kANN querying over a built HD-Index (Algo. 2). [[searchLocal]] walks
   * the driver-side sorted trees. Per tree, it chooses the α-window by binary
   * search ([[selectWindow]]: O(log n + log α) key comparisons). The rest of
-  * a query runs in primitive arrays reused across the τ trees: the filters
-  * cut to β and γ by in-place selection over packed (bound, position)
-  * longs, each object's bounds computed once per query and remembered by
-  * id. A survivor is one (bound, id) long, so one sort de-duplicates the
-  * survivors and orders them by bound. The exact rerank then runs in that
-  * order, four candidates at a time ([[Distance.l2sq4]]), gives up on a
-  * group once all four are beyond the current k-th distance, and keeps the
-  * top k by (distance, id) in a [[Distance.TopK]]: the answer is the full
-  * rerank's, bit for bit.
+  * a query runs in primitive arrays reused across the τ trees. Each
+  * object's bounds are computed once per query and remembered by id: per
+  * window, the unknown ones in column loops over the gathered refdists, a
+  * reference or a reference pair at a time, bit for bit [[triBound]] and
+  * [[ptolemaicBound]]. The filters cut to β and γ by in-place selection
+  * over packed (bound, position) longs; with the Ptolemaic filter, the
+  * triangular pass runs only where β cuts, and triangular bounds rank only
+  * the entries tied at the γ cut, as Algo 2's order requires. A survivor is
+  * one (bound, id) long, so one sort de-duplicates the survivors and orders
+  * them by bound. The exact rerank then runs in that order, four candidates
+  * at a time ([[Distance.l2sq4]]), gives up on a group once all four are
+  * beyond the current k-th distance, and keeps the top k by (distance, id)
+  * in a [[Distance.TopK]]: the answer is the full rerank's, bit for bit.
   */
 object HdQuery {
 
   // ---- lower bounds ----------------------------------------------------
 
-  /** Eq. 5: best triangular lower bound over the m references. */
+  /** Eq. 5: best triangular lower bound over the m references, from the
+    * query's distances dq and the object's stored (`Float`) refdists rd.
+    * It exceeds the true distance d(q, o) by at most
+    * ε = 2⁻²³ · max_i max(dq(i), rd(i)): rd(i) is d(o, R_i) rounded to
+    * `Float` (at most 2⁻²⁴ · rd(i) away), and the `Double` arithmetic adds
+    * far less.
+    */
   def triBound(dq: Array[Double], rd: Array[Float]): Double = {
     var best = 0.0
     var i = 0
@@ -56,7 +66,13 @@ object HdQuery {
     best
   }
 
-  /** Eq. 6: best Ptolemaic lower bound over the (m choose 2) reference pairs. */
+  /** Eq. 6: best Ptolemaic lower bound over the (m choose 2) reference
+    * pairs, skipping pairs at distance 0. It exceeds the true distance
+    * d(q, o) by at most ε = 2⁻²³ times the largest
+    * (dq(i) · rd(j) + dq(j) · rd(i)) / d(R_i, R_j) over those pairs: the
+    * `Float` rounding of rd, scaled by the pair's terms over its distance,
+    * so the slack grows as two references near each other.
+    */
   def ptolemaicBound(dq: Array[Double], rd: Array[Float], refMatrix: Array[Array[Double]]): Double = {
     var best = 0.0
     var i = 0
@@ -147,14 +163,15 @@ object HdQuery {
 
   private final val BoundMask = 0xFFFFFFFF00000000L
 
-  /** Rearranges a[0, n) so that a[0, k) holds its k smallest values, in no
-    * particular order (quickselect with median-of-three pivots).
+  /** Rearranges a[from, from + n) so that a[from, from + k) holds its k
+    * smallest values, in no particular order (quickselect with
+    * median-of-three pivots).
     */
-  private def selectSmallest(a: Array[Long], n: Int, k: Int): Unit = {
+  private def selectSmallest(a: Array[Long], from: Int, n: Int, k: Int): Unit = {
     if (k <= 0 || k >= n) return
-    val t = k - 1
-    var lo = 0
-    var hi = n - 1
+    val t = from + k - 1
+    var lo = from
+    var hi = from + n - 1
     while (lo < hi) {
       val x = a(lo); val y = a((lo + hi) >>> 1); val z = a(hi)
       val pivot = math.max(math.min(x, y), math.min(math.max(x, y), z))
@@ -181,6 +198,17 @@ object HdQuery {
     * A bound depends only on the query and the object's refdists, not on
     * the tree, so each is computed once per query: `triMemo` and `ptoMemo`
     * hold, by id, the bound's float bits with the sign bit set once known.
+    * Per window, the refdists of the ids whose bound is still unknown are
+    * gathered, widened to `Double`, into one column per reference. The
+    * bound is then computed a reference (Eq. 5) or a reference pair (Eq. 6)
+    * at a time, in one loop over the gathered objects that C2 can
+    * vectorise (each column is its own array: C2 does not vectorise two
+    * offsets into one array). Each lane does the IEEE operations of
+    * [[triBound]] or [[ptolemaicBound]] in their order (Java never fuses
+    * them into an FMA). With finite distances every term is non-negative
+    * and not NaN, where `Math.max` is their `if (b > best) best = b`, so
+    * the bits are theirs.
+    *
     * A survivor is packed as (bound bits, id), the bound being the one that
     * admitted it (triangular, or Ptolemaic when that filter is on); an id
     * has the same bound in every tree.
@@ -191,75 +219,207 @@ object HdQuery {
   private final class Kernel(dq: Array[Double], refMatrix: Array[Array[Double]],
                              refdistsById: Array[Array[Float]], p: QueryParams,
                              maxWindow: Int, trees: Int, nIds: Int) {
+    private val m         = dq.length
     private val packed    = new Array[Long](maxWindow)
     private val betaPos   = new Array[Int](if (p.usePtolemaic) math.min(maxWindow, p.beta) else 0)
     private val survivors = new Array[Long](trees * math.min(maxWindow, p.gamma))
     private var nSurvivors = 0
     private val triMemo   = new Array[Int](nIds)
     private val ptoMemo   = new Array[Int](if (p.usePtolemaic) nIds else 0)
+    // the objects gathered from a window: ids, refdist columns, bounds so far
+    private val gathered  = new Array[Int](maxWindow)
+    private val cols      = Array.ofDim[Double](m, maxWindow)
+    private val best      = new Array[Double](maxWindow)
+    // Eq. 6's reference pairs (i < j) with d(R_i, R_j) > 0, in (i, j) order
+    private val pairI     = new Array[Int](if (p.usePtolemaic) m * (m - 1) / 2 else 0)
+    private val pairJ     = new Array[Int](pairI.length)
+    private var nPairs    = 0
+    if (p.usePtolemaic) {
+      var i = 0
+      while (i < m) {
+        var j = i + 1
+        while (j < m) {
+          if (refMatrix(i)(j) > 0) { pairI(nPairs) = i; pairJ(nPairs) = j; nPairs += 1 }
+          j += 1
+        }
+        i += 1
+      }
+    }
     // the rerank's group of four: vectors, their ids, their squared distances
     private val group     = new Array[Array[Float]](4)
     private val groupIds  = new Array[Long](4)
     private val sums      = new Array[Double](4)
 
+    /** Gathers into `cols` the refdists of the ids at window positions
+      * s + at(i) (s + i when `at` is null), i < n, whose bound in `memo` is
+      * still unknown, and zeroes their bounds; returns how many.
+      */
+    private def gather(ids: Array[Long], s: Int, at: Array[Int], n: Int, memo: Array[Int]): Int = {
+      var c = 0
+      var i = 0
+      while (i < n) {
+        val id = ids(s + (if (at == null) i else at(i))).toInt
+        if (memo(id) >= 0) {
+          val rd = refdistsById(id)
+          var r = 0
+          while (r < m) { cols(r)(c) = rd(r); r += 1 }
+          gathered(c) = id
+          best(c) = 0.0
+          c += 1
+        }
+        i += 1
+      }
+      c
+    }
+
+    /** Stores the first c bounds in `memo`, by gathered id, as known. */
+    private def remember(c: Int, memo: Array[Int]): Unit = {
+      var o = 0
+      while (o < c) {
+        memo(gathered(o)) = java.lang.Float.floatToIntBits(best(o).toFloat) | Int.MinValue
+        o += 1
+      }
+    }
+
+    /** Eq. 5 for the window [s, s + w)'s ids not yet known; packs the
+      * window's (triangular bound, position) into packed[0, w).
+      */
+    private def triangular(ids: Array[Long], s: Int, w: Int): Unit = {
+      val c = gather(ids, s, null, w, triMemo)
+      val bs = best
+      var r = 0
+      while (r < m) {
+        val col = cols(r)
+        val d = dq(r)
+        var o = 0
+        while (o < c) { bs(o) = Math.max(bs(o), Math.abs(d - col(o))); o += 1 }
+        r += 1
+      }
+      remember(c, triMemo)
+      var i = 0
+      while (i < w) { packed(i) = pack(known(triMemo, ids(s + i)), i); i += 1 }
+    }
+
+    /** Eq. 6 for the β set's ids (window positions s + betaPos[0, b)) not
+      * yet known; packs the β set's (Ptolemaic bound, position) into
+      * packed[0, b).
+      */
+    private def ptolemaic(ids: Array[Long], s: Int, b: Int): Unit = {
+      val c = gather(ids, s, betaPos, b, ptoMemo)
+      val bs = best
+      var k = 0
+      while (k < nPairs) {
+        val i = pairI(k)
+        val j = pairJ(k)
+        val ci = cols(i); val cj = cols(j)
+        val di = dq(i); val dj = dq(j)
+        val den = refMatrix(i)(j)
+        var o = 0
+        while (o < c) { bs(o) = Math.max(bs(o), Math.abs(di * cj(o) - dj * ci(o)) / den); o += 1 }
+        k += 1
+      }
+      remember(c, ptoMemo)
+      var i = 0
+      while (i < b) { packed(i) = pack(known(ptoMemo, ids(s + betaPos(i))), betaPos(i)); i += 1 }
+    }
+
+    /** The bits of a known bound. */
+    private def known(memo: Array[Int], id: Long): Int = memo(id.toInt) & Int.MaxValue
+
+    /** Lines 5–10 for the window [s, e) of one tree: triangular filter,
+      * optional Ptolemaic filter, and the γ surviving (bound, id) kept.
+      *
+      * With the Ptolemaic filter, the triangular pass runs only where β
+      * cuts (β < w); otherwise the β set is the whole window. The γ cut
+      * selects by (Ptolemaic bound, position); Algo 2 ranks the β set by
+      * triangular bound first, which only matters for ties: see
+      * [[breakTies]].
+      */
+    def filter(ids: Array[Long], s: Int, e: Int): Unit = {
+      val w = e - s
+      if (!p.usePtolemaic) {
+        triangular(ids, s, w)
+        keep(ids, s, w, math.min(w, p.gamma))
+      } else {
+        val b = math.min(w, p.beta)
+        var i = 0
+        if (b < w) {
+          triangular(ids, s, w)
+          selectSmallest(packed, 0, w, b)
+          while (i < b) { betaPos(i) = packed(i).toInt; i += 1 }
+        } else while (i < b) { betaPos(i) = i; i += 1 }
+        ptolemaic(ids, s, b)
+        keep(ids, s, b, math.min(b, p.gamma))
+      }
+    }
+
+    /** Selects the g smallest of packed[0, n) (position-packed entries of
+      * the window at s) and adds them to the survivors as (bound, id).
+      */
+    private def keep(ids: Array[Long], s: Int, n: Int, g: Int): Unit = {
+      selectSmallest(packed, 0, n, g)
+      if (p.usePtolemaic) breakTies(ids, s, n, g)
+      var i = 0
+      while (i < g) {
+        survivors(nSurvivors) = (packed(i) & BoundMask) | ids(s + packed(i).toInt)
+        nSurvivors += 1
+        i += 1
+      }
+    }
+
+    /** packed[0, g) holds the g smallest of the β set packed[0, b) by
+      * (Ptolemaic bound, position). Algo 2 ranks the β set by
+      * (triangular bound, position) before the γ cut, so entries tied with
+      * the γ-th Ptolemaic bound go in that rank order. Only when such an
+      * entry was cut are the tied entries chosen again, by
+      * (triangular bound, position); they keep their Ptolemaic bound.
+      */
+    private def breakTies(ids: Array[Long], s: Int, b: Int, g: Int): Unit = {
+      if (g >= b) return
+      var cut = 0L
+      var i = 0
+      while (i < g) { cut = math.max(cut, packed(i) & BoundMask); i += 1 }
+      // packed[g, b) is >= cut: its tied entries go to [g, tiedEnd)
+      var tiedEnd = g
+      i = g
+      while (i < b) {
+        if ((packed(i) & BoundMask) == cut) { swap(i, tiedEnd); tiedEnd += 1 }
+        i += 1
+      }
+      if (tiedEnd == g) return
+      // packed[0, g) is <= cut: its tied entries go to [tiedStart, g)
+      var tiedStart = 0
+      i = 0
+      while (i < g) {
+        if ((packed(i) & BoundMask) != cut) { swap(i, tiedStart); tiedStart += 1 }
+        i += 1
+      }
+      i = tiedStart
+      while (i < tiedEnd) {
+        val pos = packed(i).toInt
+        packed(i) = pack(triBits(ids(s + pos).toInt), pos)
+        i += 1
+      }
+      selectSmallest(packed, tiedStart, tiedEnd - tiedStart, g - tiedStart)
+      i = tiedStart
+      while (i < g) { packed(i) = cut | (packed(i) & ~BoundMask); i += 1 }
+    }
+
+    private def swap(i: Int, j: Int): Unit = {
+      val t = packed(i); packed(i) = packed(j); packed(j) = t
+    }
+
+    /** The triangular bound's bits for one id, through its memo: where β
+      * does not cut, the column pass has not run, and only tied entries need
+      * this bound.
+      */
     private def triBits(id: Int): Int = {
-      val known = triMemo(id)
-      if (known < 0) known & Int.MaxValue
+      val memo = triMemo(id)
+      if (memo < 0) memo & Int.MaxValue
       else {
         val bits = java.lang.Float.floatToIntBits(triBound(dq, refdistsById(id)).toFloat)
         triMemo(id) = bits | Int.MinValue
         bits
-      }
-    }
-
-    private def ptoBits(id: Int): Int = {
-      val known = ptoMemo(id)
-      if (known < 0) known & Int.MaxValue
-      else {
-        val bits = java.lang.Float.floatToIntBits(ptolemaicBound(dq, refdistsById(id), refMatrix).toFloat)
-        ptoMemo(id) = bits | Int.MinValue
-        bits
-      }
-    }
-
-    /** Lines 5–10 for the window [s, e) of one tree: triangular filter,
-      * optional Ptolemaic filter, and the γ surviving (bound, id) kept.
-      */
-    def filter(ids: Array[Long], s: Int, e: Int): Unit = {
-      val w = e - s
-      var i = 0
-      while (i < w) {
-        packed(i) = pack(triBits(ids(s + i).toInt), i)
-        i += 1
-      }
-      if (!p.usePtolemaic) {
-        val g = math.min(w, p.gamma)
-        selectSmallest(packed, w, g)
-        i = 0
-        while (i < g) {
-          survivors(nSurvivors) = (packed(i) & BoundMask) | ids(s + packed(i).toInt)
-          nSurvivors += 1
-          i += 1
-        }
-      } else {
-        val b = math.min(w, p.beta)
-        selectSmallest(packed, w, b)
-        // the rank j in triangular order breaks ties of the Ptolemaic bound
-        java.util.Arrays.sort(packed, 0, b)
-        var j = 0
-        while (j < b) {
-          betaPos(j) = s + packed(j).toInt
-          packed(j) = pack(ptoBits(ids(betaPos(j)).toInt), j)
-          j += 1
-        }
-        val g = math.min(b, p.gamma)
-        selectSmallest(packed, b, g)
-        j = 0
-        while (j < g) {
-          survivors(nSurvivors) = (packed(j) & BoundMask) | ids(betaPos(packed(j).toInt))
-          nSurvivors += 1
-          j += 1
-        }
       }
     }
 

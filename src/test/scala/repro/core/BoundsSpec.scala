@@ -35,6 +35,66 @@ class BoundsSpec extends AnyFunSuite {
     }
   }
 
+  /** q, o and m references where the bounds are tight or their
+    * denominators small: points at scales from 1e-3 to 1e3, references on
+    * the line through q and o but outside the segment (Eqs. 5 and 6 hold
+    * with equality there), and near-copies of another reference.
+    */
+  private val tightGen: Gen[(Array[Float], Array[Float], Array[Array[Float]])] = for {
+    dim   <- Gen.oneOf(2, 8, 32)
+    scale <- Gen.oneOf(1e-3, 1.0, 1e3)
+    m     <- Gen.choose(1, 6)
+    seed  <- Gen.choose(0L, Long.MaxValue)
+  } yield {
+    val rng = new scala.util.Random(seed)
+    def point(): Array[Float] = Array.fill(dim)((rng.nextGaussian() * scale).toFloat)
+    val q = point()
+    val o = point()
+    val refs = new Array[Array[Float]](m)
+    for (i <- 0 until m) refs(i) = rng.nextInt(3) match {
+      case 0 => point()
+      case 1 => // o + t·(o − q): beyond o for t > 0, beyond q for t < −1
+        val u = 0.1 + rng.nextDouble() * 10
+        val t = if (rng.nextBoolean()) u else -1 - u
+        Array.tabulate(dim)(d => (o(d) + t * (o(d) - q(d))).toFloat)
+      case _ =>
+        val base = if (i > 0) refs(rng.nextInt(i)) else o
+        base.map(x => x + (rng.nextGaussian() * scale * 1e-4).toFloat)
+    }
+    (q, o, refs)
+  }
+
+  /** The ε of [[HdQuery.triBound]]'s scaladoc: 2⁻²³ · max_i max(dq(i), rd(i)). */
+  private def triEps(dq: Array[Double], rd: Array[Float]): Double =
+    math.scalb(dq.indices.map(i => math.max(dq(i), rd(i).toDouble)).foldLeft(0.0)(math.max), -23)
+
+  /** The ε of [[HdQuery.ptolemaicBound]]'s scaladoc: 2⁻²³ times the largest
+    * (dq(i)·rd(j) + dq(j)·rd(i)) / d(R_i, R_j) over the pairs i < j with
+    * d(R_i, R_j) > 0.
+    */
+  private def ptoEps(dq: Array[Double], rd: Array[Float], matrix: Array[Array[Double]]): Double = {
+    val terms = for (i <- dq.indices; j <- i + 1 until dq.length if matrix(i)(j) > 0)
+      yield (dq(i) * rd(j) + dq(j) * rd(i)) / matrix(i)(j)
+    math.scalb(terms.foldLeft(0.0)(math.max), -23)
+  }
+
+  test("both bounds exceed the true distance by at most their stated epsilon (property)") {
+    var triAbove = 0
+    var ptoAbove = 0
+    forAllSamples(tightGen, n = 4000) { case (q, o, refs) =>
+      val (dq, rd, matrix) = setup(q, o, refs)
+      val d = Distance.l2(q, o)
+      val tri = HdQuery.triBound(dq, rd)
+      val pto = HdQuery.ptolemaicBound(dq, rd, matrix)
+      assert(tri <= d + triEps(dq, rd), s"tri $tri > d $d + ${triEps(dq, rd)}")
+      assert(pto <= d + ptoEps(dq, rd, matrix), s"pto $pto > d $d + ${ptoEps(dq, rd, matrix)}")
+      if (tri > d) triAbove += 1
+      if (pto > d) ptoAbove += 1
+    }
+    // the Float refdists do push both bounds past d: the epsilon is needed
+    assert(triAbove > 0 && ptoAbove > 0, s"above d: tri $triAbove, pto $ptoAbove")
+  }
+
   test("triangular bound is exact when the object is a reference") {
     val q = Array(1f, 2f, 3f, 4f, 5f, 6f, 7f, 8f)
     val o = Array(0f, 0f, 0f, 0f, 0f, 0f, 0f, 0f)

@@ -218,12 +218,15 @@ class HdQuerySpec extends SparkSpec {
   }
 
   /** [[HdQuery.searchLocal]] as it was before its primitive kernel: greedy
-    * window, full sort of the packed (bound, position) longs, a
-    * `mutable.Set` union and a full sort by (distance, id). The kernel must
-    * equal it.
+    * window, full sort of the packed (bound, position) longs, scalar bounds,
+    * a `mutable.Set` union and a full sort by (distance, id). The kernel
+    * must equal it. Also returns the number of trees whose γ cut split a
+    * tie of Ptolemaic bounds and kept other entries than a cut by
+    * (Ptolemaic bound, window position) would: there the triangular rank
+    * decided which of the tied entries survived.
     */
   private def pipelineReference(m: HdIndexModel, q: Array[Float], p: QueryParams,
-                                getVec: Long => Array[Float]): (Array[(Long, Double)], QueryStats) = {
+                                getVec: Long => Array[Float]): (Array[(Long, Double)], QueryStats, Int) = {
     def orderByBound(n: Int, bound: Int => Double): Array[Long] = {
       val packed = Array.tabulate(n) { i =>
         (java.lang.Float.floatToIntBits(bound(i).toFloat).toLong << 32) | i.toLong
@@ -234,6 +237,7 @@ class HdQuerySpec extends SparkSpec {
     val cfg = m.cfg
     val dq = m.refs.map(r => Distance.l2(q, r))
     var pages = 0L
+    var tiesDecided = 0
     val cands = scala.collection.mutable.Set.empty[Long]
     m.trees.indices.foreach { t =>
       val tree = m.trees(t)
@@ -248,7 +252,11 @@ class HdQuerySpec extends SparkSpec {
         else {
           val beta = byTri.take(math.min(n, p.beta)).map(_.toInt)
           val byPto = orderByBound(beta.length, j => HdQuery.ptolemaicBound(dq, rd(beta(j)), m.refMatrix))
-          byPto.take(math.min(beta.length, p.gamma)).map(pk => ids(beta(pk.toInt)))
+          val g = math.min(beta.length, p.gamma)
+          val byPos = byPto.map(pk => (pk & 0xFFFFFFFF00000000L) | beta(pk.toInt)).sorted
+          if (byPto.take(g).map(pk => beta(pk.toInt)).toSet != byPos.take(g).map(_.toInt).toSet)
+            tiesDecided += 1
+          byPto.take(g).map(pk => ids(beta(pk.toInt)))
         })
       pages += m.treeHeight(t) + (e - s + m.leafOrder(t) - 1) / m.leafOrder(t)
     }
@@ -256,7 +264,7 @@ class HdQuerySpec extends SparkSpec {
     // a full sort, so the reference shares no top-k code with the kernel
     val ans = cands.toArray.map(id => id -> Distance.l2(getVec(id), q))
       .sortBy { case (id, d) => (d, id) }.take(p.k)
-    (ans, QueryStats(pages, cands.size.toLong, cands.size))
+    (ans, QueryStats(pages, cands.size.toLong, cands.size), tiesDecided)
   }
 
   /** 160 integer coordinates in [0, 3]: past the rerank's first
@@ -267,6 +275,18 @@ class HdQuerySpec extends SparkSpec {
                                                integerValued = true, stdFrac = 0.3)
   private lazy val wideLocal = wide.localData
   private lazy val wideModel = HdIndex.build(spark, wide.data(spark), wideLocal, HdIndex.configFor(wide))
+
+  /** The tiny model's trees with other references (ids into the tiny
+    * data), through the public constructor: refdists and `refMatrix` are
+    * recomputed, the keys do not depend on the references.
+    */
+  private def withRefs(refIds: Array[Int]): HdIndexModel = {
+    val refs = refIds.map(TestFixtures.tinyLocal(_))
+    new HdIndexModel(model.cfg.copy(m = refs.length), model.n, refIds, refs,
+                     Array.tabulate(refs.length, refs.length)((i, j) => Distance.l2(refs(i), refs(j))),
+                     model.trees, TestFixtures.tinyLocal.map(v => refs.map(r => Distance.l2(v, r).toFloat)),
+                     model.buildMillis)
+  }
 
   test("searchLocal equals the sort/Set/topK pipeline (answers and stats)") {
     val n = model.n.toInt
@@ -297,19 +317,33 @@ class HdQuerySpec extends SparkSpec {
     // no references (Multicurves): every bound is 0
     val curves = TestFixtures.tinyCurves
     assert(curves.refs.isEmpty)
+    // references 0 and 1 coincide: d(R_0, R_1) = 0, so Eq. 6 skips that pair
+    val dupRefs = withRefs(model.refIds.updated(1, model.refIds(0)))
+    assert(dupRefs.refMatrix(0)(1) == 0.0 && dupRefs.refMatrix(0)(2) > 0)
+    // m = 1: no pairs, so every Ptolemaic bound is 0 and the triangular rank
+    // decides the whole γ cut
+    val oneRef = withRefs(model.refIds.take(1))
     var tiedAtK = 0
+    // queries where the triangular rank decided a tie at the γ cut, with
+    // β = α and with β < α
+    var decidedFull = 0
+    var decidedBeta = 0
     for ((m, getVec, qs) <- Seq((model, TestFixtures.getVec _, queries), (withDeletes, TestFixtures.getVec _, queries),
                                 (withCopies, getCopy, queries), (curves, TestFixtures.getVec _, queries),
+                                (dupRefs, TestFixtures.getVec _, queries), (oneRef, TestFixtures.getVec _, queries),
                                 (wideModel, (id: Long) => wideLocal(id.toInt), wide.queries));
          p <- settings; qr <- qs) {
       val (ans, stats) = HdQuery.searchLocal(m, qr.vec, p, getVec)
-      val (refAns, refStats) = pipelineReference(m, qr.vec, p, getVec)
+      val (refAns, refStats, decided) = pipelineReference(m, qr.vec, p, getVec)
       assert(ans.toSeq == refAns.toSeq, s"answers differ for query ${qr.id} under $p")
       assert(stats == refStats, s"stats differ for query ${qr.id} under $p")
       val next = pipelineReference(m, qr.vec, p.copy(k = p.k + 1), getVec)._1
       if (next.length > p.k && next(p.k - 1)._2 == next(p.k)._2) tiedAtK += 1
+      if (decided > 0) { if (p.beta == p.alpha) decidedFull += 1 else decidedBeta += 1 }
     }
     assert(tiedAtK > 20, s"only $tiedAtK answers tie at the k-th distance")
+    assert(decidedFull > 0 && decidedBeta > 0,
+           s"ties decided by the triangular rank: $decidedFull with beta = alpha, $decidedBeta with beta < alpha")
   }
 
   test("answers do not depend on the number of query threads") {
