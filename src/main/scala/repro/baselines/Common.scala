@@ -17,7 +17,8 @@ import repro.core.HdQuery
 abstract class AnnIndex(val dim: Int) extends Serializable {
   def name: String
   /** Ranked kNN: (id, distance) ascending by (distance, id). Every method
-    * rejects here k ≤ 0 and a query of the wrong dimension or with NaN.
+    * rejects here k ≤ 0 and a query of the wrong dimension or with a
+    * non-finite (NaN, ±Inf) coordinate.
     */
   final def search(q: Array[Float], k: Int): Array[(Long, Double)] = {
     require(k > 0, s"k must be positive, got $k")

@@ -77,13 +77,15 @@ object HdIndex {
 
   /** Build from a distributed dataset. `localData` is the driver-side copy
     * used for reference selection (the paper scans the dataset for SSS) and
-    * must equal the distributed content. The τ trees come from one
+    * must equal the distributed content; a wrong-dimension or non-finite
+    * object in it is rejected before any work. The τ trees come from one
     * [[RdbTree.build]] job, collected. With m = 0 the model has no
     * references, a 0×0 `refMatrix` and empty refdists: Multicurves' index.
     */
   def build(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
             cfg: HdIndexConfig): HdIndexModel = {
     val t0 = System.nanoTime()
+    for (id <- localData.indices) HdQuery.checkQuery(localData(id), cfg.dim, s"object $id")
 
     val refIds = cfg.refMethod match {
       case "sss"     => ReferenceSelection.sss(localData, cfg.m, cfg.f, cfg.seed)

@@ -131,23 +131,31 @@ object HdQuery {
     * order, so it holds s and not s + w exactly when s ≥ start: the
     * predicate is false below the start and true from it on. A tree costs
     * O(log n + log α) key comparisons, whatever α is.
+    *
+    * Each probe tests the predicate as the sign of
+    * keys(s) + keys(s + w) − 2·qkey in one pass over the three keys from the
+    * last byte: per byte, carry = (a + b − 2q + carry) >> 8, an arithmetic
+    * shift, so the carry is the floor of the running sum over 256 and the
+    * whole sum is non-negative exactly when the final carry is.
     */
   def selectWindow(keys: Array[Array[Byte]], qkey: Array[Byte], alpha: Int): (Int, Int) = {
     require(alpha >= 0, s"alpha must be non-negative, got $alpha")
     val n = keys.length
     val w = math.min(alpha, n)
     val pos = lowerBound(keys, qkey)
-    // keys(s) < qkey <= keys(s + w) inside the range, so both differences
-    // are non-negative and comparable byte-wise
-    val dl = new Array[Byte](qkey.length)
-    val dr = new Array[Byte](qkey.length)
     var lo = math.max(0, pos - w)
     var hi = math.min(pos, n - w)
     while (lo < hi) {
       val s = (lo + hi) >>> 1
-      Hilbert.subtract(qkey, keys(s), dl)
-      Hilbert.subtract(keys(s + w), qkey, dr)
-      if (Hilbert.compareKeys(dl, dr) <= 0) hi = s else lo = s + 1
+      val a = keys(s)
+      val b = keys(s + w)
+      var carry = 0
+      var i = qkey.length - 1
+      while (i >= 0) {
+        carry = ((a(i) & 0xff) + (b(i) & 0xff) - 2 * (qkey(i) & 0xff) + carry) >> 8
+        i -= 1
+      }
+      if (carry >= 0) hi = s else lo = s + 1
     }
     (lo, lo + w)
   }
@@ -207,7 +215,8 @@ object HdQuery {
     * [[triBound]] or [[ptolemaicBound]] in their order (Java never fuses
     * them into an FMA). With finite distances every term is non-negative
     * and not NaN, where `Math.max` is their `if (b > best) best = b`, so
-    * the bits are theirs.
+    * the bits are theirs. [[checkQuery]] keeps NaN and ±Inf coordinates
+    * out of queries and indexed objects.
     *
     * A survivor is packed as (bound bits, id), the bound being the one that
     * admitted it (triangular, or Ptolemaic when that filter is on); an id
@@ -472,16 +481,18 @@ object HdQuery {
     }
   }
 
-  /** Wrong-dimension and NaN vectors (queries, and inserted objects named
-    * by `what`) fail here instead of deep in the Hilbert encoder, which
-    * would read past a short vector, use a prefix of a long one, or map NaN
-    * to cell 0. Every `AnnIndex.search` checks its query here too.
+  /** Wrong-dimension and non-finite vectors (queries, and objects named by
+    * `what`) fail here instead of deep in the Hilbert encoder, which would
+    * read past a short vector, use a prefix of a long one, or map NaN to
+    * cell 0 and ±Inf to a clamped edge cell, and instead of the bounds,
+    * where a NaN or infinite refdist makes the column kernel and the scalar
+    * bounds disagree. Every `AnnIndex.search` checks its query here too.
     */
-  private[repro] def checkQuery(q: Array[Float], dim: Int, what: String = "query"): Unit = {
+  private[repro] def checkQuery(q: Array[Float], dim: Int, what: => String = "query"): Unit = {
     require(q.length == dim, s"$what has ${q.length} dimensions, the index has $dim")
     var i = 0
     while (i < q.length) {
-      require(!q(i).isNaN, s"$what coordinate $i is NaN")
+      require(java.lang.Float.isFinite(q(i)), s"$what coordinate $i is ${q(i)}, not finite")
       i += 1
     }
   }

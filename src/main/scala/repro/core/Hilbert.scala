@@ -28,13 +28,12 @@ final case class Hilbert(dims: Int, order: Int) extends Serializable {
   /** Map grid coordinates (each in [0, 2^order)) to the Hilbert key. */
   def encode(coords: Array[Long]): Array[Byte] = {
     require(coords.length == dims, s"expected $dims coords, got ${coords.length}")
-    val x = new Array[Long](dims)
     var i = 0
     while (i < dims) {
       require(coords(i) >= 0 && coords(i) <= maxCoord, s"coord ${coords(i)} out of [0, $maxCoord]")
-      x(i) = coords(i)
       i += 1
     }
+    val x = coords.clone()
     axesToTranspose(x)
     packTranspose(x)
   }
@@ -61,34 +60,46 @@ final case class Hilbert(dims: Int, order: Int) extends Serializable {
       coords(i) = math.min(maxCoord, math.max(0L, c))
       i += 1
     }
-    encode(coords)
+    // in range by the clamp, so encode's checks and copy are not needed
+    axesToTranspose(coords)
+    packTranspose(coords)
   }
 
   // --- Skilling 2004 ----------------------------------------------------
 
-  /** In-place: axes -> transposed Hilbert coordinates. */
+  /** In-place: axes -> transposed Hilbert coordinates. Branch-free: each
+    * (bit s, dimension i) step turns bit s of x(i) into a mask `set` and
+    * either inverts the low bits of x(0) (`set`) or exchanges them with
+    * x(i)'s (`~set`), the two cases of Skilling's loop.
+    */
   private def axesToTranspose(x: Array[Long]): Unit = {
-    val m = 1L << (order - 1)
+    var x0 = x(0)
     // Inverse undo
-    var q = m
-    while (q > 1) {
-      val p = q - 1
-      var i = 0
+    var s = order - 1
+    while (s > 0) {
+      val p = (1L << s) - 1
+      x0 ^= p & -((x0 >>> s) & 1L)
+      var i = 1
       while (i < dims) {
-        if ((x(i) & q) != 0) x(0) ^= p
-        else { val t = (x(0) ^ x(i)) & p; x(0) ^= t; x(i) ^= t }
+        val xi  = x(i)
+        val set = -((xi >>> s) & 1L)
+        val t   = (x0 ^ xi) & p & ~set
+        x0 ^= (p & set) | t
+        x(i) = xi ^ t
         i += 1
       }
-      q >>= 1
+      s -= 1
     }
+    x(0) = x0
     // Gray encode
     var i = 1
     while (i < dims) { x(i) ^= x(i - 1); i += 1 }
+    val last = x(dims - 1)
     var t = 0L
-    q = m
-    while (q > 1) {
-      if ((x(dims - 1) & q) != 0) t ^= q - 1
-      q >>= 1
+    s = order - 1
+    while (s > 0) {
+      t ^= ((1L << s) - 1) & -((last >>> s) & 1L)
+      s -= 1
     }
     i = 0
     while (i < dims) { x(i) ^= t; i += 1 }
@@ -122,18 +133,20 @@ final case class Hilbert(dims: Int, order: Int) extends Serializable {
 
   private def packTranspose(x: Array[Long]): Array[Byte] = {
     val out = new Array[Byte](keyBytes)
+    var acc = 0
     var bitPos = 0
     var b = order - 1
     while (b >= 0) {
       var i = 0
       while (i < dims) {
-        if (((x(i) >> b) & 1L) != 0L)
-          out(bitPos >> 3) = (out(bitPos >> 3) | (0x80 >> (bitPos & 7))).toByte
+        acc = (acc << 1) | ((x(i) >>> b).toInt & 1)
         bitPos += 1
+        if ((bitPos & 7) == 0) out((bitPos >> 3) - 1) = acc.toByte
         i += 1
       }
       b -= 1
     }
+    if ((bitPos & 7) != 0) out(bitPos >> 3) = (acc << (8 - (bitPos & 7))).toByte
     out
   }
 
@@ -174,21 +187,6 @@ object Hilbert {
 
   /** Uppercase hex rendering; sorts identically to the byte key. */
   def hex(key: Array[Byte]): String = key.map(b => f"${b & 0xff}%02X").mkString
-
-  /** out = x − y as unsigned big-endian fixed-width integers; requires
-    * x >= y. Allocation-free (scratch buffer supplied by the caller) — the
-    * query window expansion compares millions of key differences.
-    */
-  def subtract(x: Array[Byte], y: Array[Byte], out: Array[Byte]): Unit = {
-    var borrow = 0
-    var i = x.length - 1
-    while (i >= 0) {
-      var d = (x(i) & 0xff) - (y(i) & 0xff) - borrow
-      if (d < 0) { d += 256; borrow = 1 } else borrow = 0
-      out(i) = d.toByte
-      i -= 1
-    }
-  }
 
   implicit val keyOrdering: Ordering[Array[Byte]] =
     (a: Array[Byte], b: Array[Byte]) => compareKeys(a, b)

@@ -84,11 +84,12 @@ class IntegrationSpec extends SparkSpec {
     assert(idx.search(queries(0).vec, 10).length == 10)
   }
 
-  test("every method rejects a NaN, short or long query and k = 0") {
+  test("every method rejects a NaN, Inf, short or long query and k = 0") {
     val q = queries(0).vec
-    val nan = q.clone()
-    nan(spec.dim / 2) = Float.NaN
-    val bad = Seq(("NaN", nan, 10), ("short", q.init, 10), ("long", q :+ 0f, 10), ("k = 0", q, 0))
+    def with1(x: Float): Array[Float] = { val v = q.clone(); v(spec.dim / 2) = x; v }
+    val bad = Seq(("NaN", with1(Float.NaN), 10), ("+Inf", with1(Float.PositiveInfinity), 10),
+                  ("-Inf", with1(Float.NegativeInfinity), 10),
+                  ("short", q.init, 10), ("long", q :+ 0f, 10), ("k = 0", q, 0))
     Harness.methods().foreach { m =>
       val idx = m.build(spark, spec, spec.data(spark), local)
       for ((what, v, k) <- bad)

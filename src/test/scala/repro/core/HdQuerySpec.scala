@@ -60,6 +60,20 @@ class HdQuerySpec extends SparkSpec {
     intercept[IllegalArgumentException](HdQuery.selectWindow(keys, key1d(15), -1))
   }
 
+  /** out = x − y as unsigned big-endian fixed-width integers; requires
+    * x >= y. The reference model's key difference.
+    */
+  private def subtract(x: Array[Byte], y: Array[Byte], out: Array[Byte]): Unit = {
+    var borrow = 0
+    var i = x.length - 1
+    while (i >= 0) {
+      var d = (x(i) & 0xff) - (y(i) & 0xff) - borrow
+      if (d < 0) { d += 256; borrow = 1 } else borrow = 0
+      out(i) = d.toByte
+      i -= 1
+    }
+  }
+
   /** The window as an outward greedy merge: one entry at a time toward the
     * numerically closer side, ties going left. [[HdQuery.selectWindow]]
     * must return the same (start, end).
@@ -76,8 +90,8 @@ class HdQuerySpec extends SparkSpec {
         if (l < 0) false
         else if (r >= keys.length) true
         else {
-          Hilbert.subtract(qkey, keys(l), dl)
-          Hilbert.subtract(keys(r), qkey, dr)
+          subtract(qkey, keys(l), dl)
+          subtract(keys(r), qkey, dr)
           Hilbert.compareKeys(dl, dr) <= 0
         }
       if (takeLeft) l -= 1 else r += 1
@@ -87,23 +101,28 @@ class HdQuerySpec extends SparkSpec {
   }
 
   test("selectWindow equals the greedy outward merge (property)") {
-    // Bytes come from {00, 01, 02, FF}, and only the last 1-3 bytes of a
-    // key vary, so duplicate keys, equal distances on both sides and
-    // borrows across bytes are all common, at 128-byte width too.
+    // Mostly, bytes come from {00, 01, 02, FF}, and only the last 1-3 bytes
+    // of a key vary, so duplicate keys, equal distances on both sides and
+    // borrows across bytes are all common, at 128-byte width too. In the
+    // rest (varying = width), every byte of a key is drawn from 0-255, so
+    // the sum keys(s) + keys(s + w) − 2·qkey carries through every byte.
     val alphabet = Array[Byte](0, 1, 2, -1)
     val caseGen = for {
       width   <- Gen.oneOf(1, 2, 3, 4, 128)
-      varying <- Gen.choose(1, math.min(width, 3))
+      full    <- Gen.choose(0, 3).map(_ == 0)
+      varying <- if (full) Gen.const(width) else Gen.choose(1, math.min(width, 3))
       n       <- Gen.choose(0, 40)
       alpha   <- Gen.choose(0, n + 2)
       qkind   <- Gen.choose(0, 3)
       seed    <- Gen.choose(0L, Long.MaxValue)
-    } yield (width, varying, n, alpha, qkind, seed)
+    } yield (width, full, varying, n, alpha, qkind, seed)
     var ties = 0
-    PropHelpers.forAllSamples(caseGen, n = 20000) { case (width, varying, n, alpha, qkind, seed) =>
+    var fullWidth = 0
+    PropHelpers.forAllSamples(caseGen, n = 20000) { case (width, full, varying, n, alpha, qkind, seed) =>
       val rng = new scala.util.Random(seed)
-      val prefix = Array.fill(width - varying)(alphabet(rng.nextInt(4)))
-      def draw(): Array[Byte] = prefix ++ Array.fill(varying)(alphabet(rng.nextInt(4)))
+      def byte(): Byte = if (full) rng.nextInt(256).toByte else alphabet(rng.nextInt(4))
+      val prefix = Array.fill(width - varying)(byte())
+      def draw(): Array[Byte] = prefix ++ Array.fill(varying)(byte())
       val keys = Array.fill(n)(draw()).sorted(Hilbert.keyOrdering)
       val qkey = qkind match {
         case 0 if n > 0 => keys(rng.nextInt(n)) // equal to a key
@@ -114,17 +133,38 @@ class HdQuerySpec extends SparkSpec {
       val expect = greedyWindow(keys, qkey, alpha)
       assert(HdQuery.selectWindow(keys, qkey, alpha) == expect,
              s"width=$width n=$n alpha=$alpha query=${Hilbert.hex(qkey)}")
-      // a tie decided at the window's edge: keys(s) went in, keys(e) did not
       val (s, e) = expect
+      if (full && width == 128 && s < e && e < n) fullWidth += 1
+      // a tie decided at the window's edge: keys(s) went in, keys(e) did not
       if (s < HdQuery.lowerBound(keys, qkey) && e < n) {
         val dl = new Array[Byte](width)
         val dr = new Array[Byte](width)
-        Hilbert.subtract(qkey, keys(s), dl)
-        Hilbert.subtract(keys(e), qkey, dr)
+        subtract(qkey, keys(s), dl)
+        subtract(keys(e), qkey, dr)
         if (Hilbert.compareKeys(dl, dr) == 0) ties += 1
       }
     }
     assert(ties > 0, "no case had a tie at the window's edge")
+    assert(fullWidth > 0, "no 128-byte case with full-range bytes had a window edge to decide")
+  }
+
+  test("selectWindow breaks an exact tie at 128-byte width to the left") {
+    // keys q − d − 1 < q − d < q < q + d < q + d + 1 for random q in
+    // [2^1022, 2^1023) and d < 2^1020, so the differences borrow and the sums
+    // carry at bytes all across the key; α = 1 and α = 3 each end on a tie
+    val rng = new scala.util.Random(11)
+    val q = (BigInt(1) << 1022) | (BigInt(1, Array.fill(128)(rng.nextInt(256).toByte)) >> 2)
+    val d = BigInt(1, Array.fill(128)(rng.nextInt(256).toByte)) >> 4
+    def key(v: BigInt): Array[Byte] = {
+      val raw = v.toByteArray.takeRight(128)
+      Array.fill[Byte](128 - raw.length)(0) ++ raw
+    }
+    val keys = Array(key(q - d - 1), key(q - d), key(q + d), key(q + d + 1))
+    val qkey = key(q)
+    assert(HdQuery.selectWindow(keys, qkey, 1) == (1, 2))
+    assert(HdQuery.selectWindow(keys, qkey, 2) == (1, 3))
+    assert(HdQuery.selectWindow(keys, qkey, 3) == (0, 3))
+    for (alpha <- 0 to 5) assert(HdQuery.selectWindow(keys, qkey, alpha) == greedyWindow(keys, qkey, alpha))
   }
 
   // --- end-to-end ---------------------------------------------------------
@@ -203,18 +243,32 @@ class HdQuerySpec extends SparkSpec {
     intercept[IllegalArgumentException](params.copy(k = -1))
   }
 
-  test("searchLocal rejects a query of the wrong dimension or with NaN") {
+  test("searchLocal rejects a query of the wrong dimension, with NaN or with Inf") {
     val dim = model.cfg.dim
     for (len <- Seq(dim - 1, dim + 1)) {
       val e = intercept[IllegalArgumentException](
         HdQuery.searchLocal(model, new Array[Float](len), params, TestFixtures.getVec))
       assert(e.getMessage.contains(s"query has $len dimensions"), e.getMessage)
     }
-    val q = queries(0).vec.clone()
-    q(dim / 2) = Float.NaN
-    val e = intercept[IllegalArgumentException](
-      HdQuery.searchLocal(model, q, params, TestFixtures.getVec))
-    assert(e.getMessage.contains("NaN"), e.getMessage)
+    for (bad <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity)) {
+      val q = queries(0).vec.clone()
+      q(dim / 2) = bad
+      val e = intercept[IllegalArgumentException](
+        HdQuery.searchLocal(model, q, params, TestFixtures.getVec))
+      assert(e.getMessage.contains(s"coordinate ${dim / 2} is $bad"), e.getMessage)
+    }
+  }
+
+  test("build rejects an object with NaN or Inf, naming the object and coordinate") {
+    val spec = TestFixtures.tiny
+    for (bad <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity)) {
+      val local = TestFixtures.tinyLocal.clone()
+      local(37) = local(37).clone()
+      local(37)(5) = bad
+      val e = intercept[IllegalArgumentException](
+        HdIndex.build(spark, spec.data(spark), local, HdIndex.configFor(spec)))
+      assert(e.getMessage.contains(s"object 37 coordinate 5 is $bad"), e.getMessage)
+    }
   }
 
   /** [[HdQuery.searchLocal]] as it was before its primitive kernel: greedy

@@ -68,12 +68,14 @@ class UpdateSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](HdIndex.insert(m0, m0.n + 5, spec.point(1L)))
   }
 
-  test("insert rejects a NaN or wrong-dimension vector") {
+  test("insert rejects a NaN, Inf or wrong-dimension vector") {
     val m0 = freshModel()
-    val v  = spec.point(1L).clone()
-    v(spec.dim / 2) = Float.NaN
-    val e = intercept[IllegalArgumentException](HdIndex.insert(m0, m0.n, v))
-    assert(e.getMessage.contains("NaN"), e.getMessage)
+    for (bad <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity)) {
+      val v = spec.point(1L).clone()
+      v(spec.dim / 2) = bad
+      val e = intercept[IllegalArgumentException](HdIndex.insert(m0, m0.n, v))
+      assert(e.getMessage.contains(s"inserted vector coordinate ${spec.dim / 2} is $bad"), e.getMessage)
+    }
     for (len <- Seq(spec.dim - 1, spec.dim + 1))
       assertThrows[IllegalArgumentException](HdIndex.insert(m0, m0.n, new Array[Float](len)))
   }
