@@ -112,14 +112,15 @@ class ApproxMethodsSpec extends SparkSpec {
   }
 
   test("Multicurves, SRS, C2LSH, QALSH and OPQ answers equal their pinned digests (k = 1, 10, 100)") {
-    val got = Seq[AnnIndex](multicurves, srs, c2lsh, qalsh, opq)
+    val got = Seq[AnnIndex](multicurves, srs, c2lsh, qalsh, opq, hnsw)
       .map(idx => idx.name -> TestFixtures.answerDigest(Seq(1, 10, 100))(idx.search)).toMap
     assert(got == Map(
       "multicurves" -> "24070467ee137b7fb7b6c27cc53839592a614e1f8e7958cf086afaea51ea6309",
       "srs"         -> "e66bc994a1769cbdfe285623518a26799f9246518b21a3e7d388cdb54e5bf505",
       "c2lsh"       -> "28b1690c15af1602edfcd3c269007215beb8e71d7e0285754262aafeb304db44",
       "qalsh"       -> "836cdd97552034c4472a28ec139b64c717a08b457d6d0f11ab9375c61f23919d",
-      "opq"         -> "ef6453457bcba233d8ccca180ddf91ab024bd64646805fd2ecb453550cba39b1"))
+      "opq"         -> "ef6453457bcba233d8ccca180ddf91ab024bd64646805fd2ecb453550cba39b1",
+      "hnsw"        -> "9b80b00fbc4df21bcec2358938c434e5471ff4c2ba15ebfe0a060b5a1e3c6b92"))
   }
 
   test("method names are distinct and stable") {
