@@ -42,26 +42,19 @@ object Table4Job {
   }
 }
 
-/** `--class repro.jobs.BuildIndexJob <dataset> [outPath]` — Algo 1 as a
-  * distributed job; writes the RDB-tree entries as parquet when a path is
-  * given (the disk-resident form of the index).
+/** `--class repro.jobs.BuildIndexJob <dataset>` — Algo 1 as a distributed
+  * job; prints the built index's shape, size and build wall-clock.
   */
 object BuildIndexJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.get("hdindex-build")
     val spec = VectorData.byName(args.headOption.getOrElse("sift10k"))
-    val data = spec.data(spark)
-    val model = HdIndex.build(spark, data, spec.localData, HdIndex.configFor(spec))
+    val local = spec.localData
+    val t0 = System.nanoTime()
+    val model = HdIndex.build(spark, spec.data(spark), local, HdIndex.configFor(spec))
+    val buildMs = (System.nanoTime() - t0) / 1000000L
     println(s"built HD-Index on ${spec.name}: n=${model.n} tau=${model.cfg.tau} " +
-            s"m=${model.cfg.m} indexMB=${model.indexBytes / 1e6} buildMs=${model.buildMillis}")
-    args.lift(1).foreach { out =>
-      // IndexEntry is a flat product (binary key, long id, float refdists):
-      // the product encoder maps it straight onto a parquet schema.
-      val cfg = model.cfg
-      RdbTree.build(spark, data, model.refs, cfg.dim, cfg.tau, cfg.omega, cfg.lo, cfg.hi)
-        .write.mode("overwrite").parquet(out)
-      println(s"entries written to $out")
-    }
+            s"m=${model.cfg.m} indexMB=${model.indexBytes / 1e6} buildMs=$buildMs")
     spark.stop()
   }
 }
@@ -110,9 +103,9 @@ object QueryJob {
     val spark = JobSession.get("hdindex-query")
     val spec  = VectorData.byName(args.headOption.getOrElse("sift10k"))
     val k     = args.lift(1).map(_.toInt).getOrElse(100)
-    val alpha = args.lift(2).map(_.toInt).getOrElse(math.max(256, math.min(4096, spec.n / 10)))
+    val hd    = args.lift(2).fold(new HdIndexMethod())(a => new HdIndexMethod(alphaOverride = a.toInt))
     val prep  = Harness.prepare(spark, spec, k)
-    val r     = Harness.measure(spark, prep, new HdIndexMethod(alphaOverride = alpha), k)
+    val r     = Harness.measure(spark, prep, hd, k)
     println(f"${spec.name}: MAP@$k=${r.map}%.3f ratio=${r.ratio}%.3f " +
             f"q=${r.queryMillis}%.3f ms idx=${r.indexMB}%.2f MB build=${r.buildMillis} ms")
     spark.stop()

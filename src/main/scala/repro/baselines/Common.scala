@@ -1,8 +1,9 @@
 package repro.baselines
 
+import scala.reflect.ClassTag
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.{VecRow, VectorData}
-import repro.core.HdQuery
+import repro.core.{Distance, HdQuery}
 
 /** Common contract for every kANN method in the comparison (Sec. 2.2.6).
   *
@@ -29,8 +30,6 @@ abstract class AnnIndex(val dim: Int) extends Serializable {
   protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)]
   /** Index size estimate in bytes (for the scalability columns). */
   def indexBytes: Long
-  /** Build wall-clock in ms. */
-  def buildMillis: Long
 }
 
 trait AnnMethod {
@@ -42,6 +41,51 @@ trait AnnMethod {
 object Common {
   /** [[AnnIndex.dim]] of an index over `data`. */
   def dimOf(data: Array[Array[Float]]): Int = if (data.isEmpty) -1 else data(0).length
+
+  /** `f` of every object of `data`, computed in Spark and stored at the
+    * object's id: the result does not depend on how `data` is partitioned
+    * or ordered. Ids must be dense in [0, n).
+    */
+  def collectById[T: ClassTag](data: Dataset[VecRow], n: Int)(f: VecRow => T): Array[T] = {
+    val out = new Array[T](n)
+    data.rdd.map(r => r.id -> f(r)).collect().foreach { case (id, v) => out(id.toInt) = v }
+    out
+  }
+
+  /** Base bucket width w of C2LSH and QALSH. The paper uses w = 1 on
+    * normalised data; here it is 1/8 of the spread of the first
+    * projection over the first 500 objects, so that the base grid resolves
+    * the data on any value domain.
+    */
+  def bucketWidth(localData: Array[Array[Float]], projection: Array[Float]): Double = {
+    val s = (0 until math.min(500, localData.length)).map(i => dot(localData(i), projection))
+    val mean = s.sum / s.size
+    math.max(1e-9, math.sqrt(s.map(x => (x - mean) * (x - mean)).sum / s.size) / 8.0)
+  }
+
+  /** The collision-counting query of C2LSH and QALSH. An object's
+    * qualifying level is the l-th smallest (l = `collisionThreshold`) of
+    * its m per-hash levels `level(i, j)`, the first virtual-rehash level at
+    * which hash j of object i collides with the query's. The βn + k
+    * objects smallest by (qualifying level, id) are the candidates, in the
+    * order the level-by-level algorithm finds them, and their exact
+    * distances give the answer.
+    */
+  def collisionSearch(data: Array[Array[Float]], q: Array[Float], k: Int, m: Int,
+                      collisionThreshold: Int, betaN: Int)(level: (Int, Int) => Double): Array[(Long, Double)] = {
+    val cands = new Distance.TopK(math.min(data.length, betaN + k))
+    val tmp = new Array[Double](m)
+    var i = 0
+    while (i < data.length) {
+      var j = 0
+      while (j < m) { tmp(j) = level(i, j); j += 1 }
+      java.util.Arrays.sort(tmp)
+      cands.offer(i, tmp(collisionThreshold - 1))
+      i += 1
+    }
+    Distance.topK(cands.result().iterator.map { case (i, _) => i -> Distance.l2(data(i.toInt), q) }, k)
+  }
+
   /** Gaussian 2-stable projection vectors, deterministic in seed. */
   def gaussianProjections(dim: Int, count: Int, seed: Long): Array[Array[Float]] = {
     val rng = new java.util.Random(seed)
@@ -90,7 +134,7 @@ object Common {
     var bestD = Double.MaxValue
     var c = 0
     while (c < centroids.length) {
-      val d = repro.core.Distance.l2sq(p, centroids(c))
+      val d = Distance.l2sq(p, centroids(c))
       if (d < bestD) { bestD = d; best = c }
       c += 1
     }

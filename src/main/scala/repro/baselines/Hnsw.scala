@@ -34,8 +34,6 @@ object Hnsw extends AnnMethod {
     private var maxLevel = -1
     private val neighbors = scala.collection.mutable.ArrayBuffer.empty[Array[scala.collection.mutable.ArrayBuffer[Int]]]
 
-    var buildMillis: Long = 0L
-
     private def d(a: Int, b: Array[Float]): Double = Distance.l2(data(a), b)
 
     /** Best-first beam search on one layer from `entry`, beam width `width`.
@@ -77,10 +75,8 @@ object Hnsw extends AnnMethod {
 
     /** Insert all points (called once from the builder). */
     private[Hnsw] def buildAll(): Unit = {
-      val t0 = System.nanoTime()
       var i = 0
       while (i < data.length) { insert(i); i += 1 }
-      buildMillis = (System.nanoTime() - t0) / 1000000L
     }
 
     private def insert(node: Int): Unit = {

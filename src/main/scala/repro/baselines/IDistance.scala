@@ -23,8 +23,7 @@ object IDistance extends AnnMethod {
       pivots: Array[Array[Float]],
       // per pivot: ids sorted by distance-to-pivot, plus the parallel dists
       byPivot: Array[(Array[Long], Array[Double])],
-      r0: Double, dr: Double,
-      val buildMillis: Long) extends AnnIndex(Common.dimOf(data)) {
+      r0: Double, dr: Double) extends AnnIndex(Common.dimOf(data)) {
 
     override def name = "idistance"
 
@@ -77,7 +76,6 @@ object IDistance extends AnnMethod {
   def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
                  nPivots: Int = 16, r0: Double = 0.01, dr: Double = 0.01,
                  seed: Long = 7): Index = {
-    val t0 = System.nanoTime()
     val sample = {
       val rng = new scala.util.Random(seed)
       Array.fill(math.min(2000, localData.length))(localData(rng.nextInt(localData.length)))
@@ -85,23 +83,22 @@ object IDistance extends AnnMethod {
     val pivots = Common.kmeans(sample, nPivots, iters = 8, seed = seed)
     val bPivots = spark.sparkContext.broadcast(pivots)
 
-    // Distributed key computation: nearest pivot + distance per object.
-    val keyed: Array[(Int, Long, Double)] = data.rdd.map { r =>
+    // per object: nearest pivot and the distance to it
+    val keys = Common.collectById(data, localData.length) { r =>
       val ps = bPivots.value
       val c  = Common.nearestCentroid(r.vec, ps)
-      (c, r.id, Distance.l2(r.vec, ps(c)))
-    }.collect()
+      (c, Distance.l2(r.vec, ps(c)))
+    }
 
     val byPivot = Array.tabulate(pivots.length) { p =>
-      val es = keyed.filter(_._1 == p).sortBy(e => (e._3, e._2))
-      (es.map(_._2), es.map(_._3))
+      val es = keys.indices.filter(keys(_)._1 == p).sortBy(i => (keys(i)._2, i))
+      (es.map(_.toLong).toArray, es.map(keys(_)._2).toArray)
     }
     // Δr in absolute units: the published r0/Δr=0.01 are relative to the
     // data scale; scale by the mean pivot distance so expansion terminates
     // in a comparable number of rounds on any value domain.
-    val scale = math.max(1e-9, keyed.iterator.map(_._3).sum / math.max(1, keyed.length))
-    new Index(localData, pivots, byPivot, r0 * scale, dr * scale,
-              (System.nanoTime() - t0) / 1000000L)
+    val scale = math.max(1e-9, keys.iterator.map(_._2).sum / math.max(1, keys.length))
+    new Index(localData, pivots, byPivot, r0 * scale, dr * scale)
   }
 
   override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],

@@ -35,7 +35,7 @@ object LinearScan extends AnnMethod {
     queries.indices.toArray.map(qi => merged.getOrElse(qi, Array.empty))
   }
 
-  final class Index(data: Array[Array[Float]], val buildMillis: Long) extends AnnIndex(Common.dimOf(data)) {
+  final class Index(data: Array[Array[Float]]) extends AnnIndex(Common.dimOf(data)) {
     override def name = "linear"
     override protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)] =
       Distance.topK(data.iterator.zipWithIndex.map { case (v, i) => i.toLong -> Distance.l2(v, q) }, k)
@@ -44,5 +44,5 @@ object LinearScan extends AnnMethod {
 
   override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
                      localData: Array[Array[Float]]): AnnIndex =
-    new Index(localData, 0L)
+    new Index(localData)
 }

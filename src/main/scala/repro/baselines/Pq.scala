@@ -25,7 +25,6 @@ object Pq extends AnnMethod {
       rotation: Option[Array[Array[Float]]],
       codebooks: Array[Array[Array[Float]]], // M × K × subDim
       codes: Array[Array[Byte]],      // n × M
-      val buildMillis: Long,
       override val name: String) extends AnnIndex(Common.dimOf(rotated)) {
 
     private val mSub = codebooks.length
@@ -75,32 +74,23 @@ object Pq extends AnnMethod {
     out
   }
 
-  /** PCA rotation from the covariance matrix (computed distributed). */
-  private def pcaRotation(spark: SparkSession, data: Dataset[VecRow], dim: Int): Array[Array[Float]] = {
+  /** PCA rotation from the covariance matrix, summed in id order so that
+    * the rotation's bits do not depend on how the data is partitioned.
+    */
+  private def pcaRotation(localData: Array[Array[Float]], dim: Int): Array[Array[Float]] = {
     import breeze.linalg.{DenseMatrix, eigSym}
-    val (sumV, sumOuter, cnt) = data.rdd
-      .mapPartitions { it =>
-        val s  = new Array[Double](dim)
-        val so = Array.ofDim[Double](dim, dim)
-        var c  = 0L
-        it.foreach { r =>
-          var i = 0
-          while (i < dim) {
-            s(i) += r.vec(i)
-            var j = i
-            while (j < dim) { so(i)(j) += r.vec(i).toDouble * r.vec(j); j += 1 }
-            i += 1
-          }
-          c += 1
-        }
-        Iterator.single((s, so, c))
+    val sumV     = new Array[Double](dim)
+    val sumOuter = Array.ofDim[Double](dim, dim)
+    localData.foreach { v =>
+      var i = 0
+      while (i < dim) {
+        sumV(i) += v(i)
+        var j = i
+        while (j < dim) { sumOuter(i)(j) += v(i).toDouble * v(j); j += 1 }
+        i += 1
       }
-      .reduce { (a, b) =>
-        val s  = Array.tabulate(dim)(i => a._1(i) + b._1(i))
-        val so = Array.tabulate(dim, dim)((i, j) => a._2(i)(j) + b._2(i)(j))
-        (s, so, a._3 + b._3)
-      }
-    val n = cnt.toDouble
+    }
+    val n = localData.length.toDouble
     val cov = DenseMatrix.tabulate(dim, dim) { (i, j) =>
       val (a, b) = if (i <= j) (i, j) else (j, i)
       sumOuter(a)(b) / n - (sumV(i) / n) * (sumV(j) / n)
@@ -114,9 +104,8 @@ object Pq extends AnnMethod {
   def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
                  mSub: Int = 2, kCentroids: Int = 256, usePca: Boolean = true,
                  trainSample: Int = 4000, seed: Long = 7): Index = {
-    val t0 = System.nanoTime()
     val dim = localData.head.length
-    val rotation = if (usePca) Some(pcaRotation(spark, data, dim)) else None
+    val rotation = if (usePca) Some(pcaRotation(localData, dim)) else None
     val rotated = rotation match {
       case Some(r) => localData.map(v => rotate(r, v))
       case None    => localData
@@ -132,18 +121,13 @@ object Pq extends AnnMethod {
     val bCb = spark.sparkContext.broadcast(codebooks)
     val bRot = spark.sparkContext.broadcast(rotation)
     val bRanges = spark.sparkContext.broadcast(ranges)
-    val codePairs = data.rdd.map { r =>
+    val codes = Common.collectById(data, localData.length) { r =>
       val v = bRot.value.map(rot => rotate(rot, r.vec)).getOrElse(r.vec)
-      val cs = bRanges.value.zipWithIndex.map { case ((from, until), s) =>
+      bRanges.value.zipWithIndex.map { case ((from, until), s) =>
         Common.nearestCentroid(v.slice(from, until), bCb.value(s)).toByte
       }
-      r.id -> cs
-    }.collect()
-    val codes = new Array[Array[Byte]](localData.length)
-    codePairs.foreach { case (id, c) => codes(id.toInt) = c }
-    new Index(rotated, rotation, codebooks, codes,
-              (System.nanoTime() - t0) / 1000000L,
-              if (usePca) "opq" else "pq")
+    }
+    new Index(rotated, rotation, codebooks, codes, if (usePca) "opq" else "pq")
   }
 
   override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],

@@ -2,7 +2,6 @@ package repro.baselines
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.{VecRow, VectorData}
-import repro.core.Distance
 
 /** QALSH (Huang et al. [34]) — query-aware LSH.
   *
@@ -24,35 +23,21 @@ object Qalsh extends AnnMethod {
       projections: Array[Array[Float]],
       w: Double,
       projs: Array[Array[Float]], // n × m raw projections
-      collisionThreshold: Int, betaN: Int,
-      val buildMillis: Long) extends AnnIndex(Common.dimOf(data)) {
+      collisionThreshold: Int, betaN: Int) extends AnnIndex(Common.dimOf(data)) {
 
     override def name = "qalsh"
     private val m = projections.length
 
     override protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)] = {
       val qp = Array.tabulate(m)(i => Common.dot(q, projections(i)))
-      val nCand = math.min(data.length, betaN + k)
-      // the nCand smallest by (qualifying level, id) are the candidates
-      val cands = new Distance.TopK(nCand)
-      val tmp = new Array[Double](m)
-      var i = 0
-      while (i < data.length) {
-        var j = 0
-        while (j < m) {
-          // clamp away subnormal gaps: on [-1,1]-domain data the projection
-          // differences can be denormal floats, and feeding those through
-          // log costs a ~100x FP slow path on x86
-          val gap = math.max(1e-12, math.abs(projs(i)(j) - qp(j)))
-          // smallest r (continuous) with gap <= (w/2)·2^r
-          tmp(j) = if (gap <= w / 2) 0.0 else math.log(2 * gap / w) / math.log(2.0)
-          j += 1
-        }
-        java.util.Arrays.sort(tmp)
-        cands.offer(i, tmp(collisionThreshold - 1))
-        i += 1
+      Common.collisionSearch(data, q, k, m, collisionThreshold, betaN) { (i, j) =>
+        // clamp away subnormal gaps: on [-1,1]-domain data the projection
+        // differences can be denormal floats, and feeding those through
+        // log costs a ~100x FP slow path on x86
+        val gap = math.max(1e-12, math.abs(projs(i)(j) - qp(j)))
+        // smallest r (continuous) with gap <= (w/2)·2^r
+        if (gap <= w / 2) 0.0 else math.log(2 * gap / w) / math.log(2.0)
       }
-      Distance.topK(cands.result().iterator.map { case (i, _) => i -> Distance.l2(data(i.toInt), q) }, k)
     }
 
     override def indexBytes: Long = data.length.toLong * m * (4L + 8L) // proj + B+-tree ptr
@@ -61,27 +46,17 @@ object Qalsh extends AnnMethod {
   def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
                  m: Int = 20, alphaFrac: Double = 0.6, betaFrac: Double = 0.01,
                  seed: Long = 17): Index = {
-    val t0 = System.nanoTime()
     val dim = localData.head.length
     val projections = Common.gaussianProjections(dim, m, seed)
-    val sampleSpread = {
-      val s = (0 until math.min(500, localData.length))
-        .map(i => Common.dot(localData(i), projections(0)))
-      val mean = s.sum / s.size
-      math.sqrt(s.map(x => (x - mean) * (x - mean)).sum / s.size)
-    }
-    val w = math.max(1e-9, sampleSpread / 8.0)
+    val w = Common.bucketWidth(localData, projections(0))
     val bP = spark.sparkContext.broadcast(projections)
-    val pairs = data.rdd.map { r =>
+    val projs = Common.collectById(data, localData.length) { r =>
       val ps = bP.value
-      r.id -> Array.tabulate(ps.length)(i => Common.dot(r.vec, ps(i)).toFloat)
-    }.collect()
-    val projs = new Array[Array[Float]](localData.length)
-    pairs.foreach { case (id, p) => projs(id.toInt) = p }
+      Array.tabulate(ps.length)(i => Common.dot(r.vec, ps(i)).toFloat)
+    }
     val threshold = math.max(1, math.ceil(alphaFrac * m).toInt)
     val betaN = math.max(1, math.ceil(betaFrac * localData.length).toInt)
-    new Index(localData, projections, w, projs, threshold, betaN,
-              (System.nanoTime() - t0) / 1000000L)
+    new Index(localData, projections, w, projs, threshold, betaN)
   }
 
   override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],

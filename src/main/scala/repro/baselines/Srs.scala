@@ -22,8 +22,7 @@ object Srs extends AnnMethod {
       data: Array[Array[Float]],
       projections: Array[Array[Float]],
       projected: Array[Array[Float]], // n × m
-      t: Double, earlyTau: Double,
-      val buildMillis: Long) extends AnnIndex(Common.dimOf(data)) {
+      t: Double, earlyTau: Double) extends AnnIndex(Common.dimOf(data)) {
 
     override def name = "srs"
     private val m = projections.length
@@ -69,18 +68,12 @@ object Srs extends AnnMethod {
   def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
                  m: Int = 6, t: Double = 0.00242, earlyTau: Double = 0.1809,
                  seed: Long = 7): Index = {
-    val t0 = System.nanoTime()
     val dim = localData.head.length
     val projections = Common.gaussianProjections(dim, m, seed)
     val bP = spark.sparkContext.broadcast(projections)
-    // Distributed projection of the whole database.
-    val projPairs = data.rdd
-      .map(r => r.id -> bP.value.map(p => Common.dot(r.vec, p).toFloat))
-      .collect()
-    val projected = new Array[Array[Float]](localData.length)
-    projPairs.foreach { case (id, p) => projected(id.toInt) = p }
-    new Index(localData, projections, projected, t, earlyTau,
-              (System.nanoTime() - t0) / 1000000L)
+    val projected = Common.collectById(data, localData.length)(r =>
+      bP.value.map(p => Common.dot(r.vec, p).toFloat))
+    new Index(localData, projections, projected, t, earlyTau)
   }
 
   override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],

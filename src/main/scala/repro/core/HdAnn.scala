@@ -14,7 +14,6 @@ class HdAnnIndex(val model: HdIndexModel, val params: QueryParams,
   override protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)] =
     HdQuery.searchLocal(model, q, params.copy(k = k), id => data(id.toInt))._1
   override def indexBytes: Long = model.indexBytes
-  override def buildMillis: Long = model.buildMillis
 }
 
 /** HD-Index as an [[AnnMethod]] with the paper's recommended query setting:

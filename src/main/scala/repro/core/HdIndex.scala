@@ -36,8 +36,7 @@ final class HdIndexModel(
     val refs: Array[Array[Float]],
     val refMatrix: Array[Array[Double]],
     val trees: Array[LocalTree],
-    val refdistsById: Array[Array[Float]],
-    val buildMillis: Long) extends Serializable {
+    val refdistsById: Array[Array[Float]]) extends Serializable {
 
   /** Sec. 3.6: deletions are handled by marking — marked objects are never
     * returned as answers but stay in the tree pages.
@@ -84,7 +83,6 @@ object HdIndex {
     */
   def build(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
             cfg: HdIndexConfig): HdIndexModel = {
-    val t0 = System.nanoTime()
     for (id <- localData.indices) HdQuery.checkQuery(localData(id), cfg.dim, s"object $id")
 
     val refIds = cfg.refMethod match {
@@ -128,8 +126,7 @@ object HdIndex {
       }
       LocalTree(t, from, width, keys, ids)
     }
-    new HdIndexModel(cfg, n.toLong, refIds, refs, refMatrix, trees, refdistsById,
-                     (System.nanoTime() - t0) / 1000000L)
+    new HdIndexModel(cfg, n.toLong, refIds, refs, refMatrix, trees, refdistsById)
   }
 
   /** Sec. 3.6 insertion: B+-trees are update-friendly, so a new object only
@@ -161,8 +158,7 @@ object HdIndex {
     }
     val nrd = java.util.Arrays.copyOf(model.refdistsById, model.refdistsById.length + 1)
     nrd(id.toInt) = rd
-    val m2 = new HdIndexModel(cfg, model.n + 1, model.refIds, model.refs, model.refMatrix,
-                              trees, nrd, model.buildMillis)
+    val m2 = new HdIndexModel(cfg, model.n + 1, model.refIds, model.refs, model.refMatrix, trees, nrd)
     m2.deleted ++= model.deleted
     m2
   }

@@ -36,15 +36,16 @@ object Harness {
     Prepared(spec, local, queries, truth)
   }
 
-  /** Build one method and measure it over the whole query set. The warmup
-    * pass runs a sizeable slice of the query set first so JIT compilation
-    * (which the paper's C++ baselines do not pay) is excluded from the
-    * reported per-query time for every method equally.
+  /** Build one method, timing the build call, and measure it over the whole
+    * query set. One untimed pass over the query set runs first so that JIT
+    * compilation (which the paper's C++ baselines do not pay) is excluded
+    * from the reported per-query time for every method equally.
     */
-  def measure(spark: SparkSession, prep: Prepared, method: AnnMethod, k: Int,
-              warmup: Int = 15): MethodResult = {
+  def measure(spark: SparkSession, prep: Prepared, method: AnnMethod, k: Int): MethodResult = {
+    val b0 = System.nanoTime()
     val idx = method.build(spark, prep.spec, prep.spec.data(spark), prep.local)
-    prep.queries.take(warmup).foreach(q => idx.search(q.vec, k))
+    val buildMillis = (System.nanoTime() - b0) / 1000000L
+    prep.queries.foreach(q => idx.search(q.vec, k))
     val t0 = System.nanoTime()
     val answers = prep.queries.map(q => idx.search(q.vec, k))
     val queryMs = (System.nanoTime() - t0) / 1e6 / prep.queries.length
@@ -60,7 +61,7 @@ object Harness {
       else Metrics.approximationRatio(a.take(kk).map(_._2).toSeq, t.take(kk).map(_._2).toSeq)
     }.sum / prep.queries.length
 
-    MethodResult(idx.name, prep.spec.name, idx.buildMillis,
+    MethodResult(idx.name, prep.spec.name, buildMillis,
                  idx.indexBytes / 1e6, queryMs, map, ratio)
   }
 

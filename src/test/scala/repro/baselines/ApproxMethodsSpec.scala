@@ -123,6 +123,23 @@ class ApproxMethodsSpec extends SparkSpec {
       "hnsw"        -> "9b80b00fbc4df21bcec2358938c434e5471ff4c2ba15ebfe0a060b5a1e3c6b92"))
   }
 
+  test("C2LSH, QALSH, SRS, iDistance and OPQ answers do not depend on the input's partitioning or row order") {
+    val data = spec.data(spark)
+    assert(data.rdd.getNumPartitions == 1)
+    val reversed = data.orderBy(org.apache.spark.sql.functions.col("id").desc)
+    assert(reversed.rdd.map(_.id).collect().toSeq == (spec.n - 1L to 0L by -1L))
+    // on 2 partitions, merged per-partition covariance sums give OPQ other answers on tiny
+    val inputs = Seq("2 partitions" -> data.repartition(2), "8 partitions" -> data.repartition(8),
+                     "reversed ids" -> reversed)
+    val digest = (idx: AnnIndex) => TestFixtures.answerDigest(Seq(1, 10, 100))(idx.search)
+    Seq[AnnMethod](C2Lsh, Qalsh, Srs, IDistance, Pq).foreach { m =>
+      val one = digest(m.build(spark, spec, data, local))
+      inputs.foreach { case (what, in) =>
+        assert(digest(m.build(spark, spec, in, local)) == one, s"${m.name} on $what")
+      }
+    }
+  }
+
   test("method names are distinct and stable") {
     val names = Seq(multicurves, srs, c2lsh, qalsh, opq, hnsw).map(_.name)
     assert(names == Seq("multicurves", "srs", "c2lsh", "qalsh", "opq", "hnsw"))

@@ -338,8 +338,7 @@ class HdQuerySpec extends SparkSpec {
     val refs = refIds.map(TestFixtures.tinyLocal(_))
     new HdIndexModel(model.cfg.copy(m = refs.length), model.n, refIds, refs,
                      Array.tabulate(refs.length, refs.length)((i, j) => Distance.l2(refs(i), refs(j))),
-                     model.trees, TestFixtures.tinyLocal.map(v => refs.map(r => Distance.l2(v, r).toFloat)),
-                     model.buildMillis)
+                     model.trees, TestFixtures.tinyLocal.map(v => refs.map(r => Distance.l2(v, r).toFloat)))
   }
 
   test("searchLocal equals the sort/Set/topK pipeline (answers and stats)") {
@@ -357,7 +356,7 @@ class HdQuerySpec extends SparkSpec {
       QueryParams(5, 256, 256, 64, usePtolemaic = true))
     // a private copy of the model, so marks don't leak into shared fixtures
     val withDeletes = new HdIndexModel(model.cfg, model.n, model.refIds, model.refs, model.refMatrix,
-                                       model.trees, model.refdistsById, model.buildMillis)
+                                       model.trees, model.refdistsById)
     withDeletes.deleted ++= truth.take(10).flatMap(_.take(3).map(_._1)) ++ (0L until model.n by 7L)
     // two more copies of each query's 20 nearest objects: equal vectors have
     // equal bounds, so ties at the beta and gamma cuts are common
@@ -415,7 +414,7 @@ class HdQuerySpec extends SparkSpec {
   /** A model of n objects with no references and no trees. */
   private def emptyModel(n: Long): HdIndexModel =
     new HdIndexModel(HdIndexConfig(dim = 4, tau = 1, omega = 8, lo = 0, hi = 1, m = 0), n,
-                     Array.empty, Array.empty, Array.empty, Array.empty, Array.empty, 0L)
+                     Array.empty, Array.empty, Array.empty, Array.empty, Array.empty)
 
   test("searchLocal rejects an index of more than Int.MaxValue objects") {
     val q = new Array[Float](4)
