@@ -73,10 +73,12 @@ class Table2Bench extends SparkSpec {
     val refs = Array(objects(2)._2, objects(6)._2) // O3, O7
     val entries = RdbTree.build(spark, data, refs, dim = 4, tau = 2, omega = omega,
                                 lo = 0.0, hi = 1.0).collect()
-    assert(entries.length == 16) // 8 objects x 2 trees
+    assert(entries.map(_.id).sorted.toSeq == (0L until 8L)) // one entry per object
+    val offs = RdbTree.keyOffsets(dim = 4, tau = 2, omega = omega)
+    assert(entries.forall(_.keys.length == offs(2))) // holding both trees' keys
     println("== Fig. 3c: RDB-tree leaf contents (tree, key rank order) ==")
     for (t <- 0 to 1) {
-      val es = entries.filter(_.treeId == t).sortBy(e => BigInt(1, e.hkey))
+      val es = entries.sortBy(e => BigInt(1, e.keys.slice(offs(t), offs(t + 1))))
       println(s" RDB-tree ${t + 1}: " + es.map(e =>
         f"${objects(e.id.toInt)._1}(d3=${e.refdists(0)}%.2f,d7=${e.refdists(1)}%.2f)").mkString(" "))
       es.foreach { e =>

@@ -77,10 +77,21 @@ object Common {
     val tmp = new Array[Double](m)
     var i = 0
     while (i < data.length) {
+      // ids come in ascending order, so once cands is full (worst < +∞)
+      // object i enters only if its qualifying level is below worst, that
+      // is if at least l of its levels are: only then is the sort needed
+      val worst = cands.worst
+      var below = 0
       var j = 0
-      while (j < m) { tmp(j) = level(i, j); j += 1 }
-      java.util.Arrays.sort(tmp)
-      cands.offer(i, tmp(collisionThreshold - 1))
+      while (j < m) {
+        tmp(j) = level(i, j)
+        if (tmp(j) < worst) below += 1
+        j += 1
+      }
+      if (below >= collisionThreshold || worst == Double.PositiveInfinity) {
+        java.util.Arrays.sort(tmp)
+        cands.offer(i, tmp(collisionThreshold - 1))
+      }
       i += 1
     }
     Distance.topK(cands.result().iterator.map { case (i, _) => i -> Distance.l2(data(i.toInt), q) }, k)

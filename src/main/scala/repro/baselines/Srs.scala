@@ -29,33 +29,33 @@ object Srs extends AnnMethod {
 
     override protected def searchChecked(q: Array[Float], k: Int): Array[(Long, Double)] = {
       val qp = projections.map(p => Common.dot(q, p).toFloat)
-      // incremental NN in projected space == scan in ascending projected distance
-      val order = projected.indices.sortBy { i =>
+      // incremental NN in projected space == scan in ascending (projected
+      // distance, index), and no more than maxExamine points are examined
+      val maxExamine = math.max(2 * k, math.ceil(t * data.length).toInt)
+      val nearest = new Distance.TopK(maxExamine)
+      var i = 0
+      while (i < data.length) {
         var s = 0.0
         var j = 0
         while (j < m) { val d = projected(i)(j) - qp(j); s += d * d; j += 1 }
-        s
+        nearest.offer(i, s)
+        i += 1
       }
-      val maxExamine = math.max(2 * k, math.ceil(t * data.length).toInt)
+      val order = nearest.result()
       val best = new Distance.TopK(k)
       var examined = 0
-      val it = order.iterator
       var stop = false
-      while (it.hasNext && !stop) {
-        val i = it.next()
-        best.offer(i.toLong, Distance.l2(data(i), q))
+      while (examined < order.length && !stop) {
+        val id = order(examined)._1
+        best.offer(id, Distance.l2(data(id.toInt), q))
         examined += 1
-        if (examined >= maxExamine) stop = true
-        else {
+        if (examined < order.length) {
           // early termination (SRS-12, simplified): sqrt(pd/m) is an unbiased
           // estimate of the next point's true distance (2-stable property);
           // once it exceeds c=2 times the current k-th exact distance (+∞
           // until k points are held) the c-approximation already holds with
           // the confidence governed by τ' and the search can stop.
-          var pd = 0.0
-          val nxt = order(math.min(examined, order.length - 1))
-          var j = 0
-          while (j < m) { val dd = projected(nxt)(j) - qp(j); pd += dd * dd; j += 1 }
+          val pd = order(examined)._2
           if (math.sqrt(pd / m) * (1.0 + earlyTau) > 2.0 * best.worst) stop = true
         }
       }

@@ -77,8 +77,10 @@ object HdIndex {
   /** Build from a distributed dataset. `localData` is the driver-side copy
     * used for reference selection (the paper scans the dataset for SSS) and
     * must equal the distributed content; a wrong-dimension or non-finite
-    * object in it is rejected before any work. The τ trees come from one
-    * [[RdbTree.build]] job, collected. With m = 0 the model has no
+    * object in it is rejected before any work. One map-only
+    * [[RdbTree.build]] job computes every object's τ keys and m refdists;
+    * the driver collects it, checks that its ids are exactly 0 until n,
+    * and sorts each tree by (key, id). With m = 0 the model has no
     * references, a 0×0 `refMatrix` and empty refdists: Multicurves' index.
     */
   def build(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
@@ -96,36 +98,34 @@ object HdIndex {
       (i, j) => Distance.l2(refs(i), refs(j))
     }
 
-    // The build's range partitioning plus per-partition sort is a global
-    // (treeId, hkey, id) sort, and collect() keeps partition order: tree t
-    // is the slice [t·n, (t+1)·n), already in key order. The checks below
-    // cost one pass and fail loudly if that ever stops holding.
     val n = localData.length
-    val collected = RdbTree.build(spark, data, refs, cfg.dim, cfg.tau, cfg.omega,
-                                  cfg.lo, cfg.hi).collect()
-    val parts = RdbTree.partitions(cfg.dim, cfg.tau)
-    require(collected.length == parts.length.toLong * n,
-            s"build returned ${collected.length} entries, expected ${parts.length} trees of $n")
-    val refdistsById = new Array[Array[Float]](n)
-    val trees = parts.zipWithIndex.map { case ((from, width), t) =>
-      val keys = new Array[Array[Byte]](n)
-      val ids  = new Array[Long](n)
-      var i = 0
-      while (i < n) {
-        val e = collected(t * n + i)
-        require(e.treeId == t, s"entry ${t * n + i} belongs to tree ${e.treeId}, expected tree $t")
-        if (i > 0) {
-          val c = Hilbert.compareKeys(keys(i - 1), e.hkey)
-          require(c < 0 || (c == 0 && ids(i - 1) < e.id),
-                  s"tree $t is not in strict (key, id) order at entry $i")
-        }
-        keys(i) = e.hkey
-        ids(i) = e.id
-        refdistsById(e.id.toInt) = e.refdists
-        i += 1
-      }
-      LocalTree(t, from, width, keys, ids)
+    val byId = new Array[ObjectEntry](n)
+    RdbTree.build(spark, data, refs, cfg.dim, cfg.tau, cfg.omega, cfg.lo, cfg.hi).collect().foreach { e =>
+      require(e.id >= 0 && e.id < n, s"object id ${e.id} is out of range [0, $n)")
+      require(byId(e.id.toInt) == null, s"object id ${e.id} is repeated")
+      byId(e.id.toInt) = e
     }
+    val missing = byId.indexWhere(_ == null)
+    require(missing < 0, s"object id $missing is missing")
+
+    // Each tree is its own (key, id) sort of the entries: a total order, so
+    // the trees do not depend on Spark's partitioning. Keys and refdists are
+    // copied into fresh arrays, so the model keeps no per-object buffer alive.
+    val offs  = RdbTree.keyOffsets(cfg.dim, cfg.tau, cfg.omega)
+    val trees = RdbTree.partitions(cfg.dim, cfg.tau).zipWithIndex.map { case ((from, width), t) =>
+      val (start, end) = (offs(t), offs(t + 1))
+      val sorted = byId.clone()
+      java.util.Arrays.sort(sorted, (a: ObjectEntry, b: ObjectEntry) => {
+        // unsigned lexicographic, as Hilbert.compareKeys
+        val c = java.util.Arrays.compareUnsigned(a.keys, start, end, b.keys, start, end)
+        if (c != 0) c else java.lang.Long.compare(a.id, b.id)
+      })
+      LocalTree(t, from, width, sorted.map(e => java.util.Arrays.copyOfRange(e.keys, start, end)), sorted.map(_.id))
+    }
+    // refdists are allocated in one tree's key order: objects near in space
+    // get refdists near in memory, as a window's gather reads them
+    val refdistsById = new Array[Array[Float]](n)
+    trees.last.ids.foreach(id => refdistsById(id.toInt) = byId(id.toInt).refdists.clone())
     new HdIndexModel(cfg, n.toLong, refIds, refs, refMatrix, trees, refdistsById)
   }
 

@@ -11,7 +11,7 @@ package repro.core
   * Keys are fixed-width big-endian `Array[Byte]` of ceil(dims*order/8) bytes,
   * so unsigned lexicographic byte order (Spark `BinaryType` ordering, and
   * hex-string ordering in DuckDB) equals curve order. This is what lets the
-  * RDB-tree build be a plain `repartitionByRange` + sort on the key column.
+  * RDB-tree build sort each tree by a plain unsigned byte comparison.
   *
   * @param dims  dimensionality η of the subspace the curve fills
   * @param order ω — bits per dimension; each dimension is split into 2^ω cells

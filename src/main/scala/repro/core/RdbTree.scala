@@ -3,20 +3,21 @@ package repro.core
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.VecRow
 
-/** One RDB-tree index entry (a leaf-row of the tree): the object's Hilbert
-  * key in this tree's subspace, a pointer (the id) to the full descriptor,
-  * and — the paper's novelty — the object's distances to the m reference
-  * objects, stored *in the leaf* so the distance filters run without extra
-  * disk accesses.
+/** One object's leaf data for all τ RDB-trees: its τ Hilbert keys, one per
+  * dimension slice, concatenated in tree order (tree t's key is bytes
+  * [[RdbTree.keyOffsets]]`(t)` until `(t + 1)`), a pointer (the id) to the
+  * full descriptor, and — the paper's novelty — the object's distances to
+  * the m reference objects, stored *in the leaf* so the distance filters
+  * run without extra disk accesses.
   */
-final case class IndexEntry(treeId: Int, hkey: Array[Byte], id: Long, refdists: Array[Float])
+final case class ObjectEntry(id: Long, keys: Array[Byte], refdists: Array[Float])
 
 /** RDB-tree (Reference-Distance B+-tree), Sec. 3.2.
   *
-  * The distributed build job produces all τ trees as one range-
-  * partitioned, sorted `Dataset[IndexEntry]` (partition ranges over
-  * (treeId, hkey, id) play the role of the B+-tree's leaf-page ranges).
-  * Leaf page i of a tree holds its sorted entries [i·Ω, (i+1)·Ω).
+  * The distributed build job computes each object's τ keys and m reference
+  * distances once, as one [[ObjectEntry]]; the driver then sorts each tree
+  * by (key, id) ([[HdIndex.build]]). Leaf page i of a tree holds its sorted
+  * entries [i·Ω, (i+1)·Ω).
   */
 object RdbTree {
 
@@ -59,7 +60,14 @@ object RdbTree {
     }.filter(_._2 > 0)
   }
 
-  /** Distributed build of all τ trees (Algo. 1 lines 4–10).
+  /** Where each tree's key starts in an [[ObjectEntry]]'s `keys`: τ + 1
+    * offsets, the last being the total length.
+    */
+  def keyOffsets(dim: Int, tau: Int, omega: Int): Array[Int] =
+    partitions(dim, tau).scanLeft(0) { case (off, (_, width)) => off + Hilbert(width, omega).keyBytes }
+
+  /** Distributed part of the build of all τ trees (Algo. 1 lines 4–10): one
+    * map-only job, one entry per object, with no shuffle.
     *
     * @param data     database as Dataset[VecRow]
     * @param refs     the m reference objects (vectors), broadcast
@@ -67,34 +75,31 @@ object RdbTree {
     * @param pageSize unused, as the entries do not depend on the page size;
     *                 kept because `perfbench/src/Bench.scala` passes it
     *                 positionally
-    * @return the entries range-partitioned and sorted within partitions by
-    *         (treeId, hkey, id): a global sort, in order under `collect()`
+    * @return one entry per object, in the input's order
     */
   def build(spark: SparkSession, data: Dataset[VecRow], refs: Array[Array[Float]],
             dim: Int, tau: Int, omega: Int, lo: Double, hi: Double,
-            pageSize: Int = 4096): Dataset[IndexEntry] = {
+            pageSize: Int = 4096): Dataset[ObjectEntry] = {
     import spark.implicits._
-    val parts  = partitions(dim, tau)
+    val curves = partitions(dim, tau).map { case (from, width) => (from, Hilbert(width, omega)) }
+    val offs   = keyOffsets(dim, tau, omega)
     val bRefs  = spark.sparkContext.broadcast(refs)
-    val bParts = spark.sparkContext.broadcast(parts)
-    val om     = omega
 
     // One pass over the data computes the m reference distances and the τ
     // Hilbert keys per object (Algo 1 lines 2, 7–10).
-    val entries = data.flatMap { row =>
+    data.map { row =>
       val rs = bRefs.value
       val rd = new Array[Float](rs.length)
       var i = 0
       while (i < rs.length) { rd(i) = Distance.l2(row.vec, rs(i)).toFloat; i += 1 }
-      bParts.value.iterator.zipWithIndex.map { case ((from, width), t) =>
-        val key = Hilbert(width, om).encodeVector(row.vec, from, lo, hi)
-        IndexEntry(t, key, row.id, rd)
+      val keys = new Array[Byte](offs.last)
+      var t = 0
+      while (t < curves.length) {
+        val (from, h) = curves(t)
+        System.arraycopy(h.encodeVector(row.vec, from, lo, hi), 0, keys, offs(t), h.keyBytes)
+        t += 1
       }
+      ObjectEntry(row.id, keys, rd)
     }
-
-    val numParts = math.max(spark.sparkContext.defaultParallelism, tau)
-    entries
-      .repartitionByRange(numParts, $"treeId", $"hkey", $"id")
-      .sortWithinPartitions($"treeId", $"hkey", $"id")
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, TestFixtures, VectorData}
+import repro.{SparkSpec, TestFixtures, VecRow, VectorData}
 
 class RdbTreeSpec extends SparkSpec {
 
@@ -148,6 +148,67 @@ class RdbTreeSpec extends SparkSpec {
       }
       assert(m.refdistsById.corresponds(model.refdistsById)((x, y) => java.util.Arrays.equals(x, y)),
              s"$name: reference distances differ")
+    }
+  }
+
+  /** Tree (from, width)'s (keys, ids) computed on the driver alone: every
+    * vector's key, sorted by (key, id).
+    */
+  private def referenceTree(local: Array[Array[Float]], cfg: HdIndexConfig,
+                            from: Int, width: Int): (Array[Array[Byte]], Array[Long]) = {
+    val h = Hilbert(width, cfg.omega)
+    val sorted = local.indices.map(i => (h.encodeVector(local(i), from, cfg.lo, cfg.hi), i.toLong))
+      .sortWith { case ((ka, ia), (kb, ib)) =>
+        val c = Hilbert.compareKeys(ka, kb)
+        c < 0 || (c == 0 && ia < ib)
+      }
+    (sorted.map(_._1).toArray, sorted.map(_._2).toArray)
+  }
+
+  private def assertReferenceOrder(m: HdIndexModel, local: Array[Array[Float]], name: String): Unit =
+    m.trees.foreach { t =>
+      val (keys, ids) = referenceTree(local, m.cfg, t.fromDim, t.width)
+      assert(t.keys.corresponds(keys)((x, y) => java.util.Arrays.equals(x, y)),
+             s"$name: keys of tree ${t.treeId} differ from the reference")
+      assert(t.ids.sameElements(ids), s"$name: ids of tree ${t.treeId} differ from the reference")
+    }
+
+  test("each tree equals a driver-side (key, id) sort of every vector's key") {
+    assertReferenceOrder(model, TestFixtures.tinyLocal, "tiny")
+  }
+
+  test("equal keys are ordered by id, whatever the input order") {
+    import spark.implicits._
+    // every vector twice: each key occurs at least twice in every tree
+    val local = TestFixtures.tinyLocal ++ TestFixtures.tinyLocal
+    val data = spark.createDataset(local.indices.reverse.map(i => VecRow(i.toLong, local(i)))).repartition(4)
+    val m = HdIndex.build(spark, data, local, model.cfg)
+    assert(m.trees.forall(t => t.keys.indices.tail.exists(i => java.util.Arrays.equals(t.keys(i - 1), t.keys(i)))))
+    assertReferenceOrder(m, local, "tiny twice")
+  }
+
+  /** The message of the error `HdIndex.build` raises on `data`. */
+  private def buildError(data: org.apache.spark.sql.Dataset[VecRow]): String =
+    intercept[IllegalArgumentException](
+      HdIndex.build(spark, data, TestFixtures.tinyLocal, model.cfg)).getMessage
+
+  test("an input missing an id fails, naming the id") {
+    import spark.implicits._
+    assert(buildError(spec.data(spark).filter($"id" =!= 5L)) == "requirement failed: object id 5 is missing")
+  }
+
+  test("an input repeating an id fails, naming the id") {
+    import spark.implicits._
+    val data = spec.data(spark).map(r => if (r.id == 5L) r.copy(id = 6L) else r)
+    assert(buildError(data) == "requirement failed: object id 6 is repeated")
+  }
+
+  test("an input with an id out of [0, n) fails, naming the id") {
+    import spark.implicits._
+    val n = spec.n.toLong
+    for (bad <- Seq(-1L, n, 1L << 31)) {
+      val data = spec.data(spark).map(r => if (r.id == 5L) r.copy(id = bad) else r)
+      assert(buildError(data) == s"requirement failed: object id $bad is out of range [0, $n)")
     }
   }
 
