@@ -36,11 +36,18 @@ object Hnsw extends AnnMethod {
 
     private def d(a: Int, b: Array[Float]): Double = Distance.l2(data(a), b)
 
+    /** Each thread's visited marks, reused by every search it runs (the
+      * build's inserts run on one thread, so they share one): node i is
+      * visited in the current search iff marks(i) is its epoch.
+      */
+    @transient private lazy val visitedMarks = ThreadLocal.withInitial[Visited](() => new Visited(data.length))
+
     /** Best-first beam search on one layer from `entry`, beam width `width`.
       * Returns (dist, node) ascending, at most `width` results.
       */
     private def searchLayer(q: Array[Float], entry: Int, width: Int, layer: Int): Array[(Double, Int)] = {
-      val visited = new java.util.HashSet[Integer]()
+      val visited = visitedMarks.get
+      visited.next()
       val candidates = new java.util.PriorityQueue[(Double, Int)](11, Ordering.by[(Double, Int), Double](_._1)) // min
       val result = new java.util.PriorityQueue[(Double, Int)](11, Ordering.by[(Double, Int), Double](-_._1))    // max
       val d0 = d(entry, q)
@@ -54,8 +61,7 @@ object Hnsw extends AnnMethod {
           var i = 0
           while (i < nbrs.length) {
             val nb = nbrs(i)
-            if (!visited.contains(nb)) {
-              visited.add(nb)
+            if (visited.add(nb)) {
               val nd = d(nb, q)
               if (result.size < width || nd < result.peek()._1) {
                 candidates.add((nd, nb))
@@ -139,6 +145,24 @@ object Hnsw extends AnnMethod {
       val edgeBytes = neighbors.map(layer => layer.filter(_ != null).map(_.length.toLong * 4L).sum).sum
       vecBytes + edgeBytes
     }
+  }
+
+  /** Visited marks for n nodes: a search takes the next epoch instead of
+    * clearing them (hnswlib's visited list), and clears them once when the
+    * epoch would wrap.
+    */
+  private final class Visited(n: Int) {
+    private val marks = new Array[Int](n)
+    private var epoch = 0
+
+    /** Starts a search with no node visited. */
+    def next(): Unit = {
+      if (epoch == Int.MaxValue) { java.util.Arrays.fill(marks, 0); epoch = 0 }
+      epoch += 1
+    }
+
+    /** Marks node i visited; false if it already was. */
+    def add(i: Int): Boolean = marks(i) != epoch && { marks(i) = epoch; true }
   }
 
   def buildIndex(localData: Array[Array[Float]], m: Int = 16, efConstruction: Int = 200,

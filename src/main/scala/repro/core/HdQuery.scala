@@ -37,12 +37,15 @@ final case class QueryStats(leafPages: Long, randomAccesses: Long, kappa: Int)
   * [[ptolemaicBound]]. The filters cut to β and γ by in-place selection
   * over packed (bound, position) longs; with the Ptolemaic filter, the
   * triangular pass runs only where β cuts, and triangular bounds rank only
-  * the entries tied at the γ cut, as Algo 2's order requires. A survivor is
-  * one (bound, id) long, so one sort de-duplicates the survivors and orders
-  * them by bound. The exact rerank then runs in that order, four candidates
-  * at a time ([[Distance.l2sq4]]), gives up on a group once all four are
-  * beyond the current k-th distance, and keeps the top k by (distance, id)
-  * in a [[Distance.TopK]]: the answer is the full rerank's, bit for bit.
+  * the entries tied at the γ cut, as Algo 2's order requires. The arrays
+  * are one workspace per thread, reused by its queries: memo slots carry the
+  * query's epoch, so a query clears nothing, and a kept bit in the memo
+  * lets each id enter the survivors once, as one (bound, id) long. The
+  * exact rerank takes the k survivors of lowest bound first, sorted, then
+  * the rest, four candidates at a time ([[Distance.l2sq4]]), gives up on a
+  * group once all four are beyond the current k-th distance, and keeps the
+  * top k by (distance, id) in a [[Distance.TopK]]: the answer is the full
+  * rerank's, bit for bit.
   */
 object HdQuery {
 
@@ -165,11 +168,16 @@ object HdQuery {
   /** A non-negative bound's float bits (order-preserving for non-negative
     * floats) above a position: longs that order by (bound, position), so
     * ties break by position in the window. A survivor keeps the bound's
-    * word (`& BoundMask`) and swaps the position for its id.
+    * word (`& HighWord`) and swaps the position for its id.
     */
   private def pack(boundBits: Int, pos: Int): Long = (boundBits.toLong << 32) | pos.toLong
 
-  private final val BoundMask = 0xFFFFFFFF00000000L
+  private final val HighWord = 0xFFFFFFFF00000000L
+
+  /** A memo slot's bit for an id already among the query's survivors:
+    * bit 31, above any non-negative float's bits.
+    */
+  private final val Kept = 0x80000000L
 
   /** Rearranges a[from, from + n) so that a[from, from + k) holds its k
     * smallest values, in no particular order (quickselect with
@@ -200,12 +208,23 @@ object HdQuery {
     }
   }
 
-  /** One query's filter and rerank state (Algo. 2 lines 5–16), in
-    * primitive arrays sized once per query and reused by every tree.
+  /** One thread's filter and rerank workspace (Algo. 2 lines 5–16): primitive
+    * arrays that [[start]] grows to the query's (n, τ, α, β, γ, m) and that
+    * every later query on the thread reuses, so a query allocates nothing
+    * that grows with n. It holds no reference to a model, a query or a
+    * vector between queries: [[finish]] drops them.
     *
     * A bound depends only on the query and the object's refdists, not on
     * the tree, so each is computed once per query: `triMemo` and `ptoMemo`
-    * hold, by id, the bound's float bits with the sign bit set once known.
+    * hold, by id, a slot with the query's epoch in the high word and the
+    * bound's float bits in the low word. A slot is known only when its
+    * epoch is the query's, so a query bumps the epoch instead of clearing
+    * the memos (the version-tagged visited list of hnswlib, Malkov &
+    * Yashunin, IEEE TPAMI 2020); the memos are cleared once when the epoch
+    * would wrap. The admitting memo (the Ptolemaic one when that filter is
+    * on) also holds the [[Kept]] bit, set when an id enters the survivors,
+    * so each id enters once: the survivors are the distinct candidates.
+    *
     * Per window, the refdists of the ids whose bound is still unknown are
     * gathered, widened to `Double`, into one column per reference. The
     * bound is then computed a reference (Eq. 5) or a reference pair (Eq. 6)
@@ -221,54 +240,118 @@ object HdQuery {
     * A survivor is packed as (bound bits, id), the bound being the one that
     * admitted it (triangular, or Ptolemaic when that filter is on); an id
     * has the same bound in every tree.
-    *
-    * @param maxWindow the largest window any tree can return, min(α, n)
-    * @param nIds      the trees hold ids in [0, nIds)
     */
-  private final class Kernel(dq: Array[Double], refMatrix: Array[Array[Double]],
-                             refdistsById: Array[Array[Float]], p: QueryParams,
-                             maxWindow: Int, trees: Int, nIds: Int) {
-    private val m         = dq.length
-    private val packed    = new Array[Long](maxWindow)
-    private val betaPos   = new Array[Int](if (p.usePtolemaic) math.min(maxWindow, p.beta) else 0)
-    private val survivors = new Array[Long](trees * math.min(maxWindow, p.gamma))
+  private[core] final class Kernel {
+    /** The running query's epoch, in [1, Int.MaxValue]; a slot of epoch 0
+      * was never written.
+      */
+    private[core] var epoch = 0
+    private var stamp     = 0L
+    /** Whether a query is running on this kernel. */
+    var busy              = false
+    // the running query's parameters and model tables
+    private var usePtolemaic = false
+    private var beta      = 0
+    private var gamma     = 0
+    private var refMatrix: Array[Array[Double]] = null
+    private var refdistsById: Array[Array[Float]] = null
+    private var m         = 0
+    private var dq        = new Array[Double](0)
+    private var packed    = new Array[Long](0)
+    private var betaPos   = new Array[Int](0)
+    private var survivors = new Array[Long](0)
     private var nSurvivors = 0
-    private val triMemo   = new Array[Int](nIds)
-    private val ptoMemo   = new Array[Int](if (p.usePtolemaic) nIds else 0)
+    private var triMemo   = new Array[Long](0)
+    private var ptoMemo   = new Array[Long](0)
     // the objects gathered from a window: ids, refdist columns, bounds so far
-    private val gathered  = new Array[Int](maxWindow)
-    private val cols      = Array.ofDim[Double](m, maxWindow)
-    private val best      = new Array[Double](maxWindow)
+    private var gathered  = new Array[Int](0)
+    private var cols      = new Array[Array[Double]](0)
+    private var best      = new Array[Double](0)
     // Eq. 6's reference pairs (i < j) with d(R_i, R_j) > 0, in (i, j) order
-    private val pairI     = new Array[Int](if (p.usePtolemaic) m * (m - 1) / 2 else 0)
-    private val pairJ     = new Array[Int](pairI.length)
+    private var pairI     = new Array[Int](0)
+    private var pairJ     = new Array[Int](0)
     private var nPairs    = 0
-    if (p.usePtolemaic) {
-      var i = 0
-      while (i < m) {
-        var j = i + 1
-        while (j < m) {
-          if (refMatrix(i)(j) > 0) { pairI(nPairs) = i; pairJ(nPairs) = j; nPairs += 1 }
-          j += 1
-        }
-        i += 1
-      }
-    }
     // the rerank's group of four: vectors, their ids, their squared distances
     private val group     = new Array[Array[Float]](4)
     private val groupIds  = new Array[Long](4)
     private val sums      = new Array[Double](4)
 
+    /** Begins q's query on `model` under p: the next epoch, the reference
+      * distances, Eq. 6's pairs, and every array grown to fit.
+      */
+    def start(model: HdIndexModel, q: Array[Float], p: QueryParams): Unit = {
+      busy = true
+      if (epoch == Int.MaxValue) {
+        java.util.Arrays.fill(triMemo, 0L)
+        java.util.Arrays.fill(ptoMemo, 0L)
+        epoch = 0
+      }
+      epoch += 1
+      stamp = epoch.toLong << 32
+      usePtolemaic = p.usePtolemaic
+      beta = p.beta
+      gamma = p.gamma
+      refMatrix = model.refMatrix
+      refdistsById = model.refdistsById
+      m = model.refs.length
+      if (dq.length != m) dq = new Array[Double](m)
+      var r = 0
+      while (r < m) { dq(r) = Distance.l2(q, model.refs(r)); r += 1 }
+      val w = math.min(p.alpha.toLong, model.n).toInt
+      if (w > packed.length || m > cols.length) {
+        val cap = math.max(w, packed.length)
+        packed = new Array[Long](cap); betaPos = new Array[Int](cap); gathered = new Array[Int](cap)
+        best = new Array[Double](cap); cols = Array.ofDim[Double](math.max(m, cols.length), cap)
+      }
+      val cut = model.trees.length * math.min(w, gamma)
+      if (cut > survivors.length) survivors = new Array[Long](cut)
+      nSurvivors = 0
+      triMemo = fit(triMemo, refdistsById.length)
+      if (usePtolemaic) {
+        ptoMemo = fit(ptoMemo, refdistsById.length)
+        if (pairI.length < m * (m - 1) / 2) {
+          pairI = new Array[Int](m * (m - 1) / 2); pairJ = new Array[Int](pairI.length)
+        }
+        nPairs = 0
+        var i = 0
+        while (i < m) {
+          var j = i + 1
+          while (j < m) {
+            if (refMatrix(i)(j) > 0) { pairI(nPairs) = i; pairJ(nPairs) = j; nPairs += 1 }
+            j += 1
+          }
+          i += 1
+        }
+      }
+    }
+
+    /** `memo`, or a larger empty one when it holds fewer than n slots: at
+      * least n, and half as large again as before, so a model that grows
+      * by inserts does not cost a new memo per query.
+      */
+    private def fit(memo: Array[Long], n: Int): Array[Long] =
+      if (memo.length >= n) memo
+      else new Array[Long](math.max(n, math.min(Int.MaxValue - 8L, memo.length * 3L / 2).toInt))
+
+    /** Ends the query: drops its model tables and vectors. */
+    def finish(): Unit = {
+      refMatrix = null
+      refdistsById = null
+      var j = 0
+      while (j < 4) { group(j) = null; j += 1 }
+      busy = false
+    }
+
     /** Gathers into `cols` the refdists of the ids at window positions
       * s + at(i) (s + i when `at` is null), i < n, whose bound in `memo` is
       * still unknown, and zeroes their bounds; returns how many.
       */
-    private def gather(ids: Array[Long], s: Int, at: Array[Int], n: Int, memo: Array[Int]): Int = {
+    private def gather(ids: Array[Long], s: Int, at: Array[Int], n: Int, memo: Array[Long]): Int = {
       var c = 0
       var i = 0
       while (i < n) {
         val id = ids(s + (if (at == null) i else at(i))).toInt
-        if (memo(id) >= 0) {
+        if ((memo(id) & HighWord) != stamp) {
           val rd = refdistsById(id)
           var r = 0
           while (r < m) { cols(r)(c) = rd(r); r += 1 }
@@ -282,10 +365,10 @@ object HdQuery {
     }
 
     /** Stores the first c bounds in `memo`, by gathered id, as known. */
-    private def remember(c: Int, memo: Array[Int]): Unit = {
+    private def remember(c: Int, memo: Array[Long]): Unit = {
       var o = 0
       while (o < c) {
-        memo(gathered(o)) = java.lang.Float.floatToIntBits(best(o).toFloat) | Int.MinValue
+        memo(gathered(o)) = stamp | java.lang.Float.floatToIntBits(best(o).toFloat)
         o += 1
       }
     }
@@ -333,7 +416,7 @@ object HdQuery {
     }
 
     /** The bits of a known bound. */
-    private def known(memo: Array[Int], id: Long): Int = memo(id.toInt) & Int.MaxValue
+    private def known(memo: Array[Long], id: Long): Int = memo(id.toInt).toInt & Int.MaxValue
 
     /** Lines 5–10 for the window [s, e) of one tree: triangular filter,
       * optional Ptolemaic filter, and the γ surviving (bound, id) kept.
@@ -346,11 +429,11 @@ object HdQuery {
       */
     def filter(ids: Array[Long], s: Int, e: Int): Unit = {
       val w = e - s
-      if (!p.usePtolemaic) {
+      if (!usePtolemaic) {
         triangular(ids, s, w)
-        keep(ids, s, w, math.min(w, p.gamma))
+        keep(ids, s, w, math.min(w, gamma))
       } else {
-        val b = math.min(w, p.beta)
+        val b = math.min(w, beta)
         var i = 0
         if (b < w) {
           triangular(ids, s, w)
@@ -358,20 +441,26 @@ object HdQuery {
           while (i < b) { betaPos(i) = packed(i).toInt; i += 1 }
         } else while (i < b) { betaPos(i) = i; i += 1 }
         ptolemaic(ids, s, b)
-        keep(ids, s, b, math.min(b, p.gamma))
+        keep(ids, s, b, math.min(b, gamma))
       }
     }
 
     /** Selects the g smallest of packed[0, n) (position-packed entries of
-      * the window at s) and adds them to the survivors as (bound, id).
+      * the window at s) and adds those not yet kept by an earlier tree to
+      * the survivors as (bound, id).
       */
     private def keep(ids: Array[Long], s: Int, n: Int, g: Int): Unit = {
       selectSmallest(packed, 0, n, g)
-      if (p.usePtolemaic) breakTies(ids, s, n, g)
+      if (usePtolemaic) breakTies(ids, s, n, g)
+      val memo = if (usePtolemaic) ptoMemo else triMemo
       var i = 0
       while (i < g) {
-        survivors(nSurvivors) = (packed(i) & BoundMask) | ids(s + packed(i).toInt)
-        nSurvivors += 1
+        val id = ids(s + packed(i).toInt).toInt
+        if ((memo(id) & Kept) == 0) {
+          memo(id) |= Kept
+          survivors(nSurvivors) = (packed(i) & HighWord) | id
+          nSurvivors += 1
+        }
         i += 1
       }
     }
@@ -387,12 +476,12 @@ object HdQuery {
       if (g >= b) return
       var cut = 0L
       var i = 0
-      while (i < g) { cut = math.max(cut, packed(i) & BoundMask); i += 1 }
+      while (i < g) { cut = math.max(cut, packed(i) & HighWord); i += 1 }
       // packed[g, b) is >= cut: its tied entries go to [g, tiedEnd)
       var tiedEnd = g
       i = g
       while (i < b) {
-        if ((packed(i) & BoundMask) == cut) { swap(i, tiedEnd); tiedEnd += 1 }
+        if ((packed(i) & HighWord) == cut) { swap(i, tiedEnd); tiedEnd += 1 }
         i += 1
       }
       if (tiedEnd == g) return
@@ -400,7 +489,7 @@ object HdQuery {
       var tiedStart = 0
       i = 0
       while (i < g) {
-        if ((packed(i) & BoundMask) != cut) { swap(i, tiedStart); tiedStart += 1 }
+        if ((packed(i) & HighWord) != cut) { swap(i, tiedStart); tiedStart += 1 }
         i += 1
       }
       i = tiedStart
@@ -411,7 +500,7 @@ object HdQuery {
       }
       selectSmallest(packed, tiedStart, tiedEnd - tiedStart, g - tiedStart)
       i = tiedStart
-      while (i < g) { packed(i) = cut | (packed(i) & ~BoundMask); i += 1 }
+      while (i < g) { packed(i) = cut | (packed(i) & ~HighWord); i += 1 }
     }
 
     private def swap(i: Int, j: Int): Unit = {
@@ -423,38 +512,41 @@ object HdQuery {
       * this bound.
       */
     private def triBits(id: Int): Int = {
-      val memo = triMemo(id)
-      if (memo < 0) memo & Int.MaxValue
+      val slot = triMemo(id)
+      if ((slot & HighWord) == stamp) slot.toInt & Int.MaxValue
       else {
         val bits = java.lang.Float.floatToIntBits(triBound(dq, refdistsById(id)).toFloat)
-        triMemo(id) = bits | Int.MinValue
+        triMemo(id) = stamp | bits
         bits
       }
     }
 
-    /** Lines 11–16: the distinct survivors not marked deleted (Sec. 3.6)
-      * are the κ candidates; returns their top-k by exact distance,
-      * ascending by (distance, id), and κ.
+    /** Lines 11–16: the survivors not marked deleted (Sec. 3.6) are the κ
+      * candidates; returns their top-k by exact distance, ascending by
+      * (distance, id), and κ.
       *
-      * Sorting the survivors puts an id's copies side by side and orders
-      * the candidates by bound, so near ones come first and `worst`
-      * tightens early. They are reranked four at a time by
+      * The k survivors of lowest bound are reranked first, in bound order,
+      * so that `worst` tightens early; the rest follow in the order the
+      * selection leaves them. They are reranked four at a time by
       * [[Distance.l2sq4]], which gives up on a group once all four are
-      * beyond `worst`: [[Distance.TopK.offer]] would reject each of them,
-      * so the answer is the full rerank's. A last group of fewer than four
-      * is padded with q, whose lanes are never offered.
+      * beyond `worst`: [[Distance.TopK.offer]] would reject each of them.
+      * `TopK` orders by (distance, id), a total order, so the answer is the
+      * full rerank's in any order. A last group of fewer than four is
+      * padded with q, whose lanes are never offered.
       */
     def answer(q: Array[Float], getVec: Long => Array[Float], k: Int,
                deleted: scala.collection.Set[Long]): (Array[(Long, Double)], Int) = {
-      java.util.Arrays.sort(survivors, 0, nSurvivors)
+      val first = math.min(k, nSurvivors)
+      selectSmallest(survivors, 0, nSurvivors, first)
+      java.util.Arrays.sort(survivors, 0, first)
       val anyDeleted = deleted.nonEmpty
-      val top = new Distance.TopK(math.min(k, nSurvivors))
+      val top = new Distance.TopK(first)
       var filled = 0
       var kappa = 0
       var i = 0
       while (i < nSurvivors) {
         val id = survivors(i) & Int.MaxValue
-        if ((i == 0 || survivors(i) != survivors(i - 1)) && !(anyDeleted && deleted.contains(id))) {
+        if (!(anyDeleted && deleted.contains(id))) {
           group(filled) = getVec(id)
           groupIds(filled) = id
           filled += 1
@@ -499,30 +591,39 @@ object HdQuery {
 
   // ---- search -----------------------------------------------------------
 
+  /** Each thread's kernel, reused by its queries. */
+  private val kernels = ThreadLocal.withInitial[Kernel](() => new Kernel)
+
+  /** The calling thread's kernel. */
+  private[core] def threadKernel: Kernel = kernels.get
+
   /** Algo. 2 on the driver: the top-k of q by (distance, id), and the
     * query's cost counters. Ids are `Int`s inside, so the model may hold at
-    * most `Int.MaxValue` objects.
+    * most `Int.MaxValue` objects. The query runs on the calling thread's
+    * kernel; a `getVec` that queries again on the same thread gets a fresh
+    * one.
     */
   def searchLocal(model: HdIndexModel, q: Array[Float], p: QueryParams,
                   getVec: Long => Array[Float]): (Array[(Long, Double)], QueryStats) = {
     val cfg = model.cfg
     require(model.n <= Int.MaxValue, s"the index holds ${model.n} objects, at most ${Int.MaxValue} are supported")
     checkQuery(q, cfg.dim)
-    val dq  = model.refs.map(r => Distance.l2(q, r))
-    val kernel = new Kernel(dq, model.refMatrix, model.refdistsById, p,
-                            math.min(p.alpha.toLong, model.n).toInt, model.trees.length,
-                            model.refdistsById.length)
-    var pages = 0L
-    var t = 0
-    while (t < model.trees.length) {
-      val tree  = model.trees(t)
-      val qkey  = Hilbert(tree.width, cfg.omega).encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
-      val (s, e) = selectWindow(tree.keys, qkey, p.alpha)
-      kernel.filter(tree.ids, s, e)
-      pages += model.treeHeight(t) + (e - s + model.leafOrder(t) - 1) / model.leafOrder(t)
-      t += 1
-    }
-    val (ans, kappa) = kernel.answer(q, getVec, p.k, model.deleted)
-    (ans, QueryStats(pages, kappa.toLong, kappa))
+    val cached = kernels.get
+    val kernel = if (cached.busy) new Kernel else cached
+    try {
+      kernel.start(model, q, p)
+      var pages = 0L
+      var t = 0
+      while (t < model.trees.length) {
+        val tree  = model.trees(t)
+        val qkey  = Hilbert(tree.width, cfg.omega).encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
+        val (s, e) = selectWindow(tree.keys, qkey, p.alpha)
+        kernel.filter(tree.ids, s, e)
+        pages += model.treeHeight(t) + (e - s + model.leafOrder(t) - 1) / model.leafOrder(t)
+        t += 1
+      }
+      val (ans, kappa) = kernel.answer(q, getVec, p.k, model.deleted)
+      (ans, QueryStats(pages, kappa.toLong, kappa))
+    } finally kernel.finish()
   }
 }

@@ -5,11 +5,14 @@ import repro.{VecRow, VectorData}
 import repro.baselines._
 import repro.core._
 
-/** Per-method result row for the comparison tables. */
+/** Per-method result row for the comparison tables. `queryMillis` is the
+  * median over the timed passes of the mean per-query time, and
+  * `queryIqrMillis` the distance between their quartiles.
+  */
 final case class MethodResult(
     method: String, dataset: String,
     buildMillis: Long, indexMB: Double,
-    queryMillis: Double, map: Double, ratio: Double)
+    queryMillis: Double, queryIqrMillis: Double, map: Double, ratio: Double)
 
 /** Shared measurement harness behind the Table 5 bench, the parameter
   * benches and the spark-submit jobs: builds every method on a dataset,
@@ -36,19 +39,26 @@ object Harness {
     Prepared(spec, local, queries, truth)
   }
 
+  /** Timed passes over the query set per method. */
+  private final val TimedPasses = 5
+
   /** Build one method, timing the build call, and measure it over the whole
     * query set. One untimed pass over the query set runs first so that JIT
     * compilation (which the paper's C++ baselines do not pay) is excluded
-    * from the reported per-query time for every method equally.
+    * from the reported per-query time for every method equally. Then each
+    * of [[TimedPasses]] passes gives a mean per-query time; the result
+    * holds their median and interquartile range.
     */
   def measure(spark: SparkSession, prep: Prepared, method: AnnMethod, k: Int): MethodResult = {
     val b0 = System.nanoTime()
     val idx = method.build(spark, prep.spec, prep.spec.data(spark), prep.local)
     val buildMillis = (System.nanoTime() - b0) / 1000000L
-    prep.queries.foreach(q => idx.search(q.vec, k))
-    val t0 = System.nanoTime()
     val answers = prep.queries.map(q => idx.search(q.vec, k))
-    val queryMs = (System.nanoTime() - t0) / 1e6 / prep.queries.length
+    val passMs = Array.fill(TimedPasses) {
+      val t0 = System.nanoTime()
+      prep.queries.foreach(q => idx.search(q.vec, k))
+      (System.nanoTime() - t0) / 1e6 / prep.queries.length
+    }.sorted
 
     val map = Metrics.mapAtK(
       prep.queries.indices.map(qi =>
@@ -62,7 +72,8 @@ object Harness {
     }.sum / prep.queries.length
 
     MethodResult(idx.name, prep.spec.name, buildMillis,
-                 idx.indexBytes / 1e6, queryMs, map, ratio)
+                 idx.indexBytes / 1e6, passMs(TimedPasses / 2),
+                 passMs(3 * TimedPasses / 4) - passMs(TimedPasses / 4), map, ratio)
   }
 
   /** Full comparison on one dataset. */
@@ -74,7 +85,7 @@ object Harness {
       val r = measure(spark, prep, m, k)
       Console.err.println(f"[harness] ${spec.name}%-8s ${r.method}%-12s " +
         f"build=${r.buildMillis}%6d ms  idx=${r.indexMB}%9.2f MB  " +
-        f"q=${r.queryMillis}%8.3f ms  MAP@$k=${r.map}%.3f  ratio=${r.ratio}%.3f")
+        f"q=${r.queryMillis}%8.3f ms (IQR ${r.queryIqrMillis}%.3f)  MAP@$k=${r.map}%.3f  ratio=${r.ratio}%.3f")
       r
     }
   }
@@ -82,10 +93,10 @@ object Harness {
   /** Render results as a fixed-width table (one row per method). */
   def formatTable(rows: Seq[MethodResult], k: Int): String = {
     val header = f"${"dataset"}%-8s ${"method"}%-12s ${"build(ms)"}%10s ${"index(MB)"}%10s " +
-      f"${"query(ms)"}%10s ${s"MAP@$k"}%8s ${"ratio"}%7s"
+      f"${"query(ms)"}%10s ${"IQR(ms)"}%8s ${s"MAP@$k"}%8s ${"ratio"}%7s"
     (header +: rows.map(r =>
       f"${r.dataset}%-8s ${r.method}%-12s ${r.buildMillis}%10d ${r.indexMB}%10.2f " +
-      f"${r.queryMillis}%10.3f ${r.map}%8.3f ${r.ratio}%7.3f")).mkString("\n")
+      f"${r.queryMillis}%10.3f ${r.queryIqrMillis}%8.3f ${r.map}%8.3f ${r.ratio}%7.3f")).mkString("\n")
   }
 
   /** The Table 5 gain view: HD-Index query-time and MAP gains over others. */

@@ -411,6 +411,146 @@ class HdQuerySpec extends SparkSpec {
     } finally pool.shutdown()
   }
 
+  // --- the per-thread kernel ----------------------------------------------
+
+  /** f on a new thread, whose kernel is fresh. */
+  private def onFreshThread[T](f: => T): T = {
+    val task = new java.util.concurrent.FutureTask[T](() => f)
+    new Thread(task).start()
+    task.get()
+  }
+
+  /** tiny's generator at 20 times its n, queried with tiny's queries. */
+  private lazy val big = TestFixtures.tiny.copy(name = "tiny20", n = 20 * TestFixtures.tiny.n)
+  private lazy val bigLocal = big.localData
+  private lazy val bigModel = HdIndex.build(spark, big.data(spark), bigLocal, HdIndex.configFor(big))
+  private lazy val bigGetVec: Long => Array[Float] = id => bigLocal(id.toInt)
+
+  private val ptoParams = QueryParams(10, 256, 256, 64, usePtolemaic = true)
+
+  /** Bytes the calling thread allocates per query of every tiny query on m
+    * under p, over 10 passes, and the mean κ.
+    */
+  private def bytesPerQuery(m: HdIndexModel, p: QueryParams, getVec: Long => Array[Float]): (Double, Double) = {
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    def pass(): Double = queries.map(q => HdQuery.searchLocal(m, q.vec, p, getVec)._2.kappa).sum.toDouble
+    val b0 = mx.getCurrentThreadAllocatedBytes
+    var kappa = 0.0
+    for (_ <- 1 to 10) kappa += pass()
+    ((mx.getCurrentThreadAllocatedBytes - b0).toDouble / (10 * queries.length), kappa / (10 * queries.length))
+  }
+
+  test("bytes allocated per query do not grow with n (tiny against 20 times its n)") {
+    // Per-query memos of 4 B per object would differ by 152 KB per filter.
+    // The margin: 1 KB, plus 32 B per candidate, for the boxed id that each
+    // getVec call may take (whether the JIT removes the box varies by run).
+    for (p <- Seq(params, ptoParams)) {
+      // warmed up on both, then the least of 3 alternating measurements
+      val runs = for (_ <- 1 to 4) yield
+        (bytesPerQuery(model, p, TestFixtures.getVec), bytesPerQuery(bigModel, p, bigGetVec))
+      val (small, smallKappa) = runs.tail.map(_._1).minBy(_._1)
+      val (large, largeKappa) = runs.tail.map(_._2).minBy(_._1)
+      assert(math.abs(large - small) < 1024 + 32 * math.max(smallKappa, largeKappa),
+             f"$p: $small%.0f B per query (κ $smallKappa%.1f) at n = ${model.n}, " +
+             f"$large%.0f B (κ $largeKappa%.1f) at n = ${bigModel.n}")
+    }
+  }
+
+  test("one thread interleaving models and settings answers as a fresh thread does") {
+    val tau2 = HdIndex.build(spark, TestFixtures.tiny.data(spark), TestFixtures.tinyLocal,
+                             HdIndex.configFor(TestFixtures.tiny).copy(tau = 2))
+    // the queries themselves inserted, so the grown model holds n + 20 ids
+    val grown = queries.foldLeft(model)((m, q) => HdIndex.insert(m, m.n, q.vec))
+    val grownGetVec: Long => Array[Float] =
+      id => if (id < model.n) TestFixtures.getVec(id) else queries((id - model.n).toInt).vec
+    val oneRef = withRefs(model.refIds.take(1))
+    val curves = TestFixtures.tinyCurves
+    val wideGetVec: Long => Array[Float] = id => wideLocal(id.toInt)
+    val wideQueries = wide.queries
+    val cases = Seq(
+      (model, TestFixtures.getVec _, params), (model, TestFixtures.getVec _, ptoParams),
+      (bigModel, bigGetVec, params), (bigModel, bigGetVec, ptoParams),
+      (curves, TestFixtures.getVec _, QueryParams(10, 256, 256, 256)), (oneRef, TestFixtures.getVec _, ptoParams),
+      (tau2, TestFixtures.getVec _, params), (tau2, TestFixtures.getVec _, ptoParams),
+      (grown, grownGetVec, params), (grown, grownGetVec, QueryParams(10, 128, 64, 16, usePtolemaic = true)),
+      (wideModel, wideGetVec, params), (wideModel, wideGetVec, ptoParams))
+    assert(Set(curves.refs.length, oneRef.refs.length, model.refs.length).size == 3)
+    assert(tau2.trees.length != model.trees.length && grown.n == model.n + queries.length)
+    def query(c: Int, qi: Int): (Seq[(Long, Double)], QueryStats) = {
+      val (m, getVec, p) = cases(c)
+      val q = if (m eq wideModel) wideQueries(qi % wideQueries.length).vec else queries(qi).vec
+      val (ans, stats) = HdQuery.searchLocal(m, q, p, getVec)
+      (ans.toSeq, stats)
+    }
+    val fresh = for (qi <- queries.indices; c <- cases.indices) yield onFreshThread(query(c, qi))
+    val kernel = HdQuery.threadKernel
+    for (_ <- 1 to 2) {
+      val shared = for (qi <- queries.indices; c <- cases.indices) yield query(c, qi)
+      shared.zip(fresh).zipWithIndex.foreach { case ((got, want), i) =>
+        assert(got == want, s"query ${i / cases.length} under case ${i % cases.length}")
+      }
+    }
+    assert(HdQuery.threadKernel eq kernel)
+  }
+
+  test("a getVec that queries again on the same thread still gets correct answers") {
+    val inner = queries.map(q => HdQuery.searchLocal(bigModel, q.vec, ptoParams, bigGetVec))
+    var innerCalls = 0
+    val reentrant: Long => Array[Float] = { id =>
+      val qi = innerCalls % queries.length
+      val (ans, stats) = HdQuery.searchLocal(bigModel, queries(qi).vec, ptoParams, bigGetVec)
+      assert(ans.toSeq == inner(qi)._1.toSeq && stats == inner(qi)._2, s"inner query $qi")
+      innerCalls += 1
+      TestFixtures.getVec(id)
+    }
+    for (p <- Seq(params, ptoParams); qr <- queries) {
+      val want = HdQuery.searchLocal(model, qr.vec, p, TestFixtures.getVec)
+      val got = HdQuery.searchLocal(model, qr.vec, p, reentrant)
+      assert(got._1.toSeq == want._1.toSeq && got._2 == want._2, s"query ${qr.id} under $p")
+    }
+    assert(innerCalls > 0)
+  }
+
+  test("answers hold across the kernel's epoch wrap, which clears the memos") {
+    val ps = Seq(params, ptoParams)
+    val want = for (p <- ps; qr <- queries) yield HdQuery.searchLocal(model, qr.vec, p, TestFixtures.getVec)
+    def check(p: QueryParams, qi: Int): Unit = {
+      val (ans, stats) = HdQuery.searchLocal(model, queries(qi).vec, p, TestFixtures.getVec)
+      val (wantAns, wantStats) = want(ps.indexOf(p) * queries.length + qi)
+      assert(ans.toSeq == wantAns.toSeq && stats == wantStats, s"query $qi under $p")
+    }
+    onFreshThread {
+      val kernel = HdQuery.threadKernel
+      // epochs 1 to 10 leave memo slots that outlive the wrap unless cleared
+      for (qi <- 0 until 5; p <- ps) check(p, qi)
+      assert(kernel.epoch == 10)
+      // other queries at epochs Int.MaxValue - 1 and Int.MaxValue, then 1 to 8
+      kernel.epoch = Int.MaxValue - 2
+      for (qi <- 5 until 10; p <- ps) check(p, qi)
+      assert(kernel.epoch == 8, s"epoch ${kernel.epoch}: the epoch did not wrap")
+      // and a wrap at the next query, then epochs 1 to 20
+      kernel.epoch = Int.MaxValue
+      for (qi <- 10 until 20; p <- ps.reverse) check(p, qi)
+      assert(kernel.epoch == 20)
+    }
+  }
+
+  test("a kernel keeps no reference to a model, a query or a vector between queries") {
+    // everything reachable only through the query made here
+    def queryAndForget(): Seq[java.lang.ref.WeakReference[AnyRef]] = {
+      val m = withRefs(model.refIds.take(4))
+      val q = queries(0).vec.clone()
+      val vectors = TestFixtures.tinyLocal.map(_.clone())
+      for (p <- Seq(params, ptoParams)) HdQuery.searchLocal(m, q, p, id => vectors(id.toInt))
+      (Seq[AnyRef](m, m.refdistsById, m.refMatrix, q) ++ vectors).map(new java.lang.ref.WeakReference[AnyRef](_))
+    }
+    val refs = queryAndForget()
+    var tries = 0
+    while (refs.exists(_.get != null) && tries < 10) { System.gc(); Thread.sleep(20); tries += 1 }
+    assert(refs.forall(_.get == null), "the kernel still reaches the model, the query or a vector")
+  }
+
   /** A model of n objects with no references and no trees. */
   private def emptyModel(n: Long): HdIndexModel =
     new HdIndexModel(HdIndexConfig(dim = 4, tau = 1, omega = 8, lo = 0, hi = 1, m = 0), n,
