@@ -3,6 +3,7 @@ package repro.bench
 import repro.{SparkSpec, VectorData}
 import repro.baselines.LinearScan
 import repro.core._
+import repro.harness.Harness
 
 /** Sec. 5.4.3 / Sec. 3.5: scalability of HD-Index — index size linear in n,
   * query time growing sub-linearly (O(τ(log n + ν)) per query), and bytes
@@ -35,18 +36,14 @@ class ScalabilityBench extends SparkSpec {
       val results = pass()
       for (_ <- 2 to 10) pass()
       val a0 = mx.getCurrentThreadAllocatedBytes
-      val passMs = Array.fill(5) {
-        val t0 = System.nanoTime()
-        pass()
-        (System.nanoTime() - t0) / 1e6 / queries.length
-      }.sorted
-      val bytes = (mx.getCurrentThreadAllocatedBytes - a0) / (5L * queries.length)
-      val ms = passMs(2)
+      val (passMs, iqrMs) = Harness.timePasses(pass())
+      val bytes = (mx.getCurrentThreadAllocatedBytes - a0) / (Harness.TimedPasses.toLong * queries.length)
+      val (ms, iqr) = (passMs / queries.length, iqrMs / queries.length)
       val pages = results.map(_._2.leafPages).sum.toDouble / queries.length
       val kappa = results.map(_._2.kappa).sum.toDouble / queries.length
       val map10 = Metrics.mapAtK(queries.indices.map(qi =>
         (truth(qi).map(_._1).toSeq, results(qi)._1.map(_._1).toSeq)), 10)
-      println(f"$n%7d $buildMs%10d ${model.indexBytes / 1e6}%10.2f $ms%8.3f ${passMs(3) - passMs(1)}%8.3f " +
+      println(f"$n%7d $buildMs%10d ${model.indexBytes / 1e6}%10.2f $ms%8.3f $iqr%8.3f " +
               f"$bytes%8d $map10%7.3f $pages%8.1f $kappa%7.1f")
       (n, model.indexBytes.toDouble, ms, map10, bytes.toDouble, kappa)
     }
@@ -73,14 +70,15 @@ class ScalabilityBench extends SparkSpec {
     val local = spec.localData
     val model = HdIndex.build(spark, spec.data(spark), local, HdIndex.configFor(spec))
     val queries = spec.queries.take(30)
-    def msFor(k: Int): Double = {
+    val ks = Seq(1, 10, 50, 100)
+    def pass(k: Int): Unit = {
       val p = QueryParams.recommended(k, alpha = 1024)
-      queries.take(3).foreach(q => HdQuery.searchLocal(model, q.vec, p, id => local(id.toInt)))
-      val t0 = System.nanoTime()
       queries.foreach(q => HdQuery.searchLocal(model, q.vec, p, id => local(id.toInt)))
-      (System.nanoTime() - t0) / 1e6 / queries.length
     }
-    val times = Seq(1, 10, 50, 100).map(k => k -> msFor(k))
+    // warm every k before timing any: otherwise the first k is timed on
+    // code the JIT has not compiled yet
+    ks.foreach(pass)
+    val times = ks.map(k => k -> Harness.timePasses(pass(k))._1 / queries.length)
     println("== query time vs k (alpha=1024 fixed) ==")
     times.foreach { case (k, ms) => println(f"  k=$k%4d  $ms%8.3f ms") }
     // k << alpha, so the alpha-driven work dominates: 100x k within 3x time

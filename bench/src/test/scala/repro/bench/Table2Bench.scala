@@ -92,8 +92,7 @@ class Table2Bench extends SparkSpec {
     import spark.implicits._
     val data = spark.createDataset(objects.toSeq.zipWithIndex.map { case ((_, v), i) => VecRow(i.toLong, v) })
     val local = objects.map(_._2)
-    val cfg = HdIndexConfig(dim = 4, tau = 2, omega = omega, lo = 0.0, hi = 1.0,
-                            m = 2, refMethod = "random")
+    val cfg = HdIndexConfig(dim = 4, tau = 2, omega = omega, lo = 0.0, hi = 1.0, m = 2)
     val model = HdIndex.build(spark, data, local, cfg)
     val p = QueryParams(k = 3, alpha = 2, beta = 2, gamma = 2)
     val (ans, stats) = HdQuery.searchLocal(model, query, p, id => local(id.toInt))

@@ -1,8 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.baselines._
-import repro.core.HdIndexMethod
+import repro.baselines.LinearScan
 import repro.imagesearch.ImageSearch
 
 /** Table 6 / Sec. 5.5: image retrieval by Borda-count aggregation of
@@ -18,9 +17,7 @@ class Table6Bench extends SparkSpec {
     val corpus = ImageSearch.corpus()
     val truthIdx = LinearScan.build(spark, corpus.spec,
       ImageSearch.descriptorDs(spark, corpus), corpus.descriptors)
-    val methods: Seq[AnnMethod] = Seq(
-      new HdIndexMethod(alphaOverride = 512), Srs, C2Lsh, Qalsh, Multicurves)
-    val results = ImageSearch.run(spark, corpus, methods, truthIdx)
+    val results = ImageSearch.run(spark, corpus, truthIdx)
 
     println("== Table 6 / Sec 5.5: image-level MAP@5 (Borda count over kANN) ==")
     println(f"${"method"}%-12s ${"MAP@5"}%8s ${"ms/descriptor"}%14s")

@@ -84,10 +84,8 @@ object Table6Job {
     val corpus = ImageSearch.corpus()
     val truthIdx = LinearScan.build(spark, corpus.spec,
       ImageSearch.descriptorDs(spark, corpus), corpus.descriptors)
-    val methods: Seq[AnnMethod] = Seq(
-      new HdIndexMethod(alphaOverride = 512), Srs, C2Lsh, Qalsh, Multicurves)
     println("method        imageMAP@5   ms/descriptor")
-    ImageSearch.run(spark, corpus, methods, truthIdx).foreach { case (m, map5, ms) =>
+    ImageSearch.run(spark, corpus, truthIdx).foreach { case (m, map5, ms) =>
       println(f"$m%-12s $map5%10.3f $ms%14.3f")
     }
     spark.stop()

@@ -20,7 +20,13 @@ import repro.{VecRow, VectorData}
   * original algorithm would find them.
   */
 object C2Lsh extends AnnMethod {
-  override def name = "c2lsh"
+  /** Hash functions m. */
+  private final val M = 20
+  /** Collision threshold l, as a fraction α of m. */
+  private final val AlphaFrac = 0.6
+  /** False-positive budget βn, as the fraction β of n. */
+  private final val BetaFrac = 0.01
+  private final val Seed = 7L
 
   private val Offset = 1L << 40 // shifts bucket ids to non-negative for the XOR trick
 
@@ -46,22 +52,20 @@ object C2Lsh extends AnnMethod {
     override def indexBytes: Long = data.length.toLong * m * 8L
   }
 
-  def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
-                 m: Int = 20, alphaFrac: Double = 0.6, betaFrac: Double = 0.01,
-                 seed: Long = 7): Index = {
+  def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]]): Index = {
     val dim = localData.head.length
-    val projections = Common.gaussianProjections(dim, m, seed)
+    val projections = Common.gaussianProjections(dim, M, Seed)
     val w = Common.bucketWidth(localData, projections(0))
-    val rng = new java.util.Random(seed + 1)
-    val offsets = Array.fill(m)(rng.nextDouble() * w)
+    val rng = new java.util.Random(Seed + 1)
+    val offsets = Array.fill(M)(rng.nextDouble() * w)
     val bP = spark.sparkContext.broadcast(projections)
     val bO = spark.sparkContext.broadcast(offsets)
     val buckets = Common.collectById(data, localData.length) { r =>
       val ps = bP.value; val os = bO.value
       Array.tabulate(ps.length)(i => math.floor((Common.dot(r.vec, ps(i)) + os(i)) / w).toLong + Offset)
     }
-    val threshold = math.max(1, math.ceil(alphaFrac * m).toInt)
-    val betaN = math.max(1, math.ceil(betaFrac * localData.length).toInt)
+    val threshold = math.max(1, math.ceil(AlphaFrac * M).toInt)
+    val betaN = math.max(1, math.ceil(BetaFrac * localData.length).toInt)
     new Index(localData, projections, offsets, w, buckets, threshold, betaN)
   }
 

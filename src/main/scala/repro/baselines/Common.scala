@@ -32,8 +32,10 @@ abstract class AnnIndex(val dim: Int) extends Serializable {
   def indexBytes: Long
 }
 
+/** A method of the comparison: builds its [[AnnIndex]], which carries the
+  * method's name.
+  */
 trait AnnMethod {
-  def name: String
   def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
             localData: Array[Array[Float]]): AnnIndex
 }

@@ -17,16 +17,17 @@ import repro.core.Distance
   * graph + vector footprint that drives that row of Table 5.
   */
 object Hnsw extends AnnMethod {
-  override def name = "hnsw"
+  /** Seed of the nodes' random levels. */
+  private final val Seed = 7L
 
   final class Index(
       data: Array[Array[Float]],
-      m: Int, efConstruction: Int, ef: Int, seed: Long) extends AnnIndex(Common.dimOf(data)) {
+      m: Int, efConstruction: Int, ef: Int) extends AnnIndex(Common.dimOf(data)) {
 
     override def name = "hnsw"
     private val mMax0 = 2 * m
     private val mL = 1.0 / math.log(m.toDouble)
-    private val rng = new java.util.Random(seed)
+    private val rng = new java.util.Random(Seed)
 
     // layers(l)(node) = neighbor list; node levels
     private val levels = new Array[Int](data.length)
@@ -166,8 +167,8 @@ object Hnsw extends AnnMethod {
   }
 
   def buildIndex(localData: Array[Array[Float]], m: Int = 16, efConstruction: Int = 200,
-                 ef: Int = 100, seed: Long = 7): Index = {
-    val idx = new Index(localData, m, efConstruction, ef, seed)
+                 ef: Int = 100): Index = {
+    val idx = new Index(localData, m, efConstruction, ef)
     idx.buildAll()
     idx
   }

@@ -16,7 +16,10 @@ import repro.core.Distance
   * best distance ≤ r, which guarantees the exact answer.
   */
 object IDistance extends AnnMethod {
-  override def name = "idistance"
+  /** The published first radius r0 and step Δr, relative to the data scale. */
+  private final val R0 = 0.01
+  private final val Dr = 0.01
+  private final val Seed = 7L
 
   final class Index(
       data: Array[Array[Float]],
@@ -74,13 +77,12 @@ object IDistance extends AnnMethod {
   }
 
   def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
-                 nPivots: Int = 16, r0: Double = 0.01, dr: Double = 0.01,
-                 seed: Long = 7): Index = {
+                 nPivots: Int = 16): Index = {
     val sample = {
-      val rng = new scala.util.Random(seed)
+      val rng = new scala.util.Random(Seed)
       Array.fill(math.min(2000, localData.length))(localData(rng.nextInt(localData.length)))
     }
-    val pivots = Common.kmeans(sample, nPivots, iters = 8, seed = seed)
+    val pivots = Common.kmeans(sample, nPivots, iters = 8, seed = Seed)
     val bPivots = spark.sparkContext.broadcast(pivots)
 
     // per object: nearest pivot and the distance to it
@@ -98,7 +100,7 @@ object IDistance extends AnnMethod {
     // data scale; scale by the mean pivot distance so expansion terminates
     // in a comparable number of rounds on any value domain.
     val scale = math.max(1e-9, keys.iterator.map(_._2).sum / math.max(1, keys.length))
-    new Index(localData, pivots, byPivot, r0 * scale, dr * scale)
+    new Index(localData, pivots, byPivot, R0 * scale, Dr * scale)
   }
 
   override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],

@@ -13,8 +13,6 @@ import repro.core.Distance
   * of the full cross product.
   */
 object LinearScan extends AnnMethod {
-  override def name = "linear"
-
   /** Distributed exact kNN for a batch of queries. Returns per query the
     * ascending (id, distance) list.
     */

@@ -14,8 +14,6 @@ import repro.core.{HdAnnIndex, HdIndex, HdIndexModel, QueryParams}
   * entry·τ large (the 1.2 TB SIFT100M index of Sec. 5.4.3).
   */
 object Multicurves extends AnnMethod {
-  override def name = "multicurves"
-
   final class Index(curves: HdIndexModel, alpha: Int, data: Array[Array[Float]])
       extends HdAnnIndex(curves, QueryParams(100, alpha, alpha, alpha), data) {
 

@@ -18,7 +18,11 @@ import repro.{VecRow, VectorData}
   * behaviour at M = 2 is indistinguishable from the full alternation.
   */
 object Pq extends AnnMethod {
-  override def name = "opq"
+  /** Subspaces M (the paper's OPQ configuration). */
+  private final val MSub = 2
+  /** Objects sampled to train the codebooks. */
+  private final val TrainSample = 4000
+  private final val Seed = 7L
 
   final class Index(
       rotated: Array[Array[Float]],   // rotated data (rotation = identity for plain PQ)
@@ -102,20 +106,19 @@ object Pq extends AnnMethod {
   }
 
   def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
-                 mSub: Int = 2, kCentroids: Int = 256, usePca: Boolean = true,
-                 trainSample: Int = 4000, seed: Long = 7): Index = {
+                 kCentroids: Int = 256, usePca: Boolean = true): Index = {
     val dim = localData.head.length
     val rotation = if (usePca) Some(pcaRotation(localData, dim)) else None
     val rotated = rotation match {
       case Some(r) => localData.map(v => rotate(r, v))
       case None    => localData
     }
-    val rng = new scala.util.Random(seed)
-    val sample = Array.fill(math.min(trainSample, rotated.length))(
+    val rng = new scala.util.Random(Seed)
+    val sample = Array.fill(math.min(TrainSample, rotated.length))(
       rotated(rng.nextInt(rotated.length)))
-    val ranges = subRanges(dim, mSub)
+    val ranges = subRanges(dim, MSub)
     val codebooks = ranges.map { case (from, until) =>
-      Common.kmeans(sample.map(_.slice(from, until)), kCentroids, iters = 6, seed = seed)
+      Common.kmeans(sample.map(_.slice(from, until)), kCentroids, iters = 6, seed = Seed)
     }
     // Distributed encoding: nearest centroid per subspace for every object.
     val bCb = spark.sparkContext.broadcast(codebooks)

@@ -16,7 +16,13 @@ import repro.{VecRow, VectorData}
   * intervals are what buys QALSH its better MAP over C2LSH.
   */
 object Qalsh extends AnnMethod {
-  override def name = "qalsh"
+  /** Hash functions m. */
+  private final val M = 20
+  /** Collision threshold l, as a fraction α of m. */
+  private final val AlphaFrac = 0.6
+  /** False-positive budget βn, as the fraction β of n. */
+  private final val BetaFrac = 0.01
+  private final val Seed = 17L
 
   final class Index(
       data: Array[Array[Float]],
@@ -43,19 +49,17 @@ object Qalsh extends AnnMethod {
     override def indexBytes: Long = data.length.toLong * m * (4L + 8L) // proj + B+-tree ptr
   }
 
-  def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
-                 m: Int = 20, alphaFrac: Double = 0.6, betaFrac: Double = 0.01,
-                 seed: Long = 17): Index = {
+  def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]]): Index = {
     val dim = localData.head.length
-    val projections = Common.gaussianProjections(dim, m, seed)
+    val projections = Common.gaussianProjections(dim, M, Seed)
     val w = Common.bucketWidth(localData, projections(0))
     val bP = spark.sparkContext.broadcast(projections)
     val projs = Common.collectById(data, localData.length) { r =>
       val ps = bP.value
       Array.tabulate(ps.length)(i => Common.dot(r.vec, ps(i)).toFloat)
     }
-    val threshold = math.max(1, math.ceil(alphaFrac * m).toInt)
-    val betaN = math.max(1, math.ceil(betaFrac * localData.length).toInt)
+    val threshold = math.max(1, math.ceil(AlphaFrac * M).toInt)
+    val betaN = math.max(1, math.ceil(BetaFrac * localData.length).toInt)
     new Index(localData, projections, w, projs, threshold, betaN)
   }
 

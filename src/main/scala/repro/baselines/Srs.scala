@@ -16,13 +16,19 @@ import repro.core.Distance
   * threshold τ' on (projected distance / current best exact distance).
   */
 object Srs extends AnnMethod {
-  override def name = "srs"
+  /** Projected dimensions m. */
+  private final val M = 6
+  /** Most objects examined, as a fraction t of n (SRS-12's setting). */
+  private final val T = 0.00242
+  /** SRS-12's early-termination threshold τ'. */
+  private final val EarlyTau = 0.1809
+  private final val Seed = 7L
 
   final class Index(
       data: Array[Array[Float]],
       projections: Array[Array[Float]],
-      projected: Array[Array[Float]], // n × m
-      t: Double, earlyTau: Double) extends AnnIndex(Common.dimOf(data)) {
+      // n × m
+      projected: Array[Array[Float]]) extends AnnIndex(Common.dimOf(data)) {
 
     override def name = "srs"
     private val m = projections.length
@@ -31,7 +37,7 @@ object Srs extends AnnMethod {
       val qp = projections.map(p => Common.dot(q, p).toFloat)
       // incremental NN in projected space == scan in ascending (projected
       // distance, index), and no more than maxExamine points are examined
-      val maxExamine = math.max(2 * k, math.ceil(t * data.length).toInt)
+      val maxExamine = math.max(2 * k, math.ceil(T * data.length).toInt)
       val nearest = new Distance.TopK(maxExamine)
       var i = 0
       while (i < data.length) {
@@ -56,7 +62,7 @@ object Srs extends AnnMethod {
           // until k points are held) the c-approximation already holds with
           // the confidence governed by τ' and the search can stop.
           val pd = order(examined)._2
-          if (math.sqrt(pd / m) * (1.0 + earlyTau) > 2.0 * best.worst) stop = true
+          if (math.sqrt(pd / m) * (1.0 + EarlyTau) > 2.0 * best.worst) stop = true
         }
       }
       best.result()
@@ -65,15 +71,13 @@ object Srs extends AnnMethod {
     override def indexBytes: Long = data.length.toLong * (m * 4L + 8L)
   }
 
-  def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
-                 m: Int = 6, t: Double = 0.00242, earlyTau: Double = 0.1809,
-                 seed: Long = 7): Index = {
+  def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]]): Index = {
     val dim = localData.head.length
-    val projections = Common.gaussianProjections(dim, m, seed)
+    val projections = Common.gaussianProjections(dim, M, Seed)
     val bP = spark.sparkContext.broadcast(projections)
     val projected = Common.collectById(data, localData.length)(r =>
       bP.value.map(p => Common.dot(r.vec, p).toFloat))
-    new Index(localData, projections, projected, t, earlyTau)
+    new Index(localData, projections, projected)
   }
 
   override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],

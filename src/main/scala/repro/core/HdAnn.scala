@@ -19,13 +19,12 @@ class HdAnnIndex(val model: HdIndexModel, val params: QueryParams,
 /** HD-Index as an [[AnnMethod]] with the paper's recommended query setting:
   * triangular-only filter, α/γ = 4, α scaled with n (DESIGN.md §6).
   */
-final class HdIndexMethod(alphaOverride: Int = -1, usePtolemaic: Boolean = false) extends AnnMethod {
-  override def name = "hdindex"
+final class HdIndexMethod(alphaOverride: Int = -1) extends AnnMethod {
   override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
                      localData: Array[Array[Float]]): AnnIndex = {
     val model = HdIndex.build(spark, data, localData, HdIndex.configFor(spec))
     val alpha = if (alphaOverride > 0) alphaOverride
                 else math.max(256, math.min(4096, spec.n / 10))
-    new HdAnnIndex(model, QueryParams.recommended(100, alpha, usePtolemaic), localData)
+    new HdAnnIndex(model, QueryParams.recommended(100, alpha), localData)
   }
 }

@@ -3,19 +3,25 @@ package repro.core
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.{VecRow, VectorData}
 
-/** HD-Index build configuration (defaults = the paper's recommendations,
-  * Sec. 5.2: m = 10, f = 0.3, B = 4096, SSS reference selection).
+/** HD-Index build configuration. The references are chosen by SSS, and
+  * m defaults to the paper's recommendation (Sec. 5.2: m = 10); m = 0 is
+  * Multicurves' reference-free index.
   */
 final case class HdIndexConfig(
-    dim: Int, tau: Int, omega: Int, lo: Double, hi: Double,
-    m: Int = 10, f: Double = 0.3, pageSize: Int = 4096,
-    refMethod: String = "sss", seed: Long = 7) {
+    dim: Int, tau: Int, omega: Int, lo: Double, hi: Double, m: Int = 10) {
   // Hilbert.encodeVector scales by 1 / (hi − lo): an empty or non-finite
   // domain would map every vector to one clamped cell
   require(java.lang.Double.isFinite(lo) && java.lang.Double.isFinite(hi) && lo < hi,
           s"need finite lo < hi, got lo=$lo hi=$hi")
   // m = 0 is a reference-free index (Multicurves): every bound is 0
   require(m >= 0, s"m must be non-negative, got $m")
+
+  /** SSS's spread fraction f (Sec. 5.2: f = 0.3). */
+  def f: Double = 0.3
+  /** Disk page size B in bytes (Sec. 5.2: B = 4096). */
+  def pageSize: Int = 4096
+  /** Seed of SSS's d_max estimate and first reference. */
+  def seed: Long = 7
 }
 
 /** Driver-side view of one RDB-tree: entries in global Hilbert-key order.
@@ -87,12 +93,7 @@ object HdIndex {
             cfg: HdIndexConfig): HdIndexModel = {
     for (id <- localData.indices) HdQuery.checkQuery(localData(id), cfg.dim, s"object $id")
 
-    val refIds = cfg.refMethod match {
-      case "sss"     => ReferenceSelection.sss(localData, cfg.m, cfg.f, cfg.seed)
-      case "sss-dyn" => ReferenceSelection.sssDyn(localData, cfg.m, cfg.f, seed = cfg.seed)
-      case "random"  => ReferenceSelection.random(localData, cfg.m, cfg.seed)
-      case other     => sys.error(s"unknown reference selection method $other")
-    }
+    val refIds = ReferenceSelection.sss(localData, cfg.m, cfg.f, cfg.seed)
     val refs = refIds.map(localData(_))
     val refMatrix = Array.tabulate(refs.length, refs.length) {
       (i, j) => Distance.l2(refs(i), refs(j))

@@ -2,26 +2,29 @@ package repro.core
 
 /** Reference-object (pivot) selection, Sec. 3.3.
   *
-  * Three algorithms from the paper's comparison (Fig. 4): Random, SSS
-  * (sparse spatial selection, the recommended method) and SSS-Dyn. All run
-  * on the driver over the materialized dataset — m = 10 and our scaled n
-  * make this cheap; the paper's own analysis treats this step as O(m²·n).
-  * Each returns no references for m = 0 (a reference-free index) and
-  * rejects a negative m.
+  * SSS (sparse spatial selection, the paper's recommended method) chooses
+  * the index's references; Random, the baseline of the paper's comparison
+  * (Fig. 4), is what the tests hold SSS against. Both run on the driver
+  * over the materialized dataset — m = 10 and our scaled n make this cheap;
+  * the paper's own analysis treats this step as O(m²·n). Each returns no
+  * references for m = 0 (a reference-free index) and rejects a negative m.
   */
 object ReferenceSelection {
 
+  /** Farthest-neighbour hops of [[estimateDMax]]. */
+  private final val DMaxHops = 5
+
   /** Estimate d_max by repeated farthest-neighbour hops (the paper's
     * heuristic): start from a random object, jump to its farthest neighbour,
-    * repeat for `iters` rounds, return the largest distance seen.
+    * repeat for [[DMaxHops]] rounds, return the largest distance seen.
     */
-  def estimateDMax(data: Array[Array[Float]], iters: Int = 5, seed: Long = 7): Double = {
+  def estimateDMax(data: Array[Array[Float]], seed: Long = 7): Double = {
     require(data.length >= 2, "need at least two objects")
     val rng  = new scala.util.Random(seed)
     var cur  = rng.nextInt(data.length)
     var dmax = 0.0
     var it = 0
-    while (it < iters) {
+    while (it < DMaxHops) {
       var far = -1
       var fd  = -1.0
       var i = 0
@@ -80,49 +83,6 @@ object ReferenceSelection {
         }
         sel += best
       }
-    }
-    sel.toArray
-  }
-
-  /** SSS-Dyn [19]: run SSS, then keep scanning; every further qualifying
-    * object may replace the current member contributing least to lower-
-    * bounding the distances of a fixed sample of object pairs (contribution
-    * of reference r = Σ_pairs |d(a,r) − d(b,r)|, the triangular bound of
-    * d(a,b) through r).
-    */
-  def sssDyn(data: Array[Array[Float]], m: Int, f: Double = 0.3,
-             nPairs: Int = 200, seed: Long = 7): Array[Int] = {
-    require(m >= 0, s"m must be non-negative, got $m")
-    if (m == 0) return Array.empty
-    val dmax = estimateDMax(data, seed = seed)
-    val thr  = f * dmax
-    val rng  = new scala.util.Random(seed)
-    val sel  = scala.collection.mutable.ArrayBuffer(sss(data, m, f, seed).toSeq: _*)
-    val pairs = Array.fill(nPairs)((rng.nextInt(data.length), rng.nextInt(data.length)))
-
-    def contribution(r: Int): Double = {
-      var s = 0.0
-      var p = 0
-      while (p < pairs.length) {
-        val (a, b) = pairs(p)
-        s += math.abs(Distance.l2(data(a), data(r)) - Distance.l2(data(b), data(r)))
-        p += 1
-      }
-      s
-    }
-
-    val contrib = scala.collection.mutable.Map(sel.map(r => r -> contribution(r)).toSeq: _*)
-    var i = 0
-    while (i < data.length) {
-      if (!sel.contains(i) && sel.forall(s => Distance.l2(data(s), data(i)) > thr)) {
-        val c        = contribution(i)
-        val (vic, v) = sel.map(r => r -> contrib(r)).minBy(_._2)
-        if (c > v) {
-          sel -= vic; contrib -= vic
-          sel += i;   contrib(i) = c
-        }
-      }
-      i += 1
     }
     sel.toArray
   }

@@ -22,9 +22,8 @@ final case class MethodResult(
 object Harness {
 
   /** The comparison roster of Sec. 2.2.6 (HD-Index first). */
-  def methods(hdAlpha: Int = -1): Seq[AnnMethod] = Seq(
-    new HdIndexMethod(alphaOverride = hdAlpha),
-    C2Lsh, Srs, Multicurves, Qalsh, Pq, Hnsw, IDistance)
+  val methods: Seq[AnnMethod] = Seq(
+    new HdIndexMethod(), C2Lsh, Srs, Multicurves, Qalsh, Pq, Hnsw, IDistance)
 
   final case class Prepared(
       spec: VectorData.Spec,
@@ -39,26 +38,34 @@ object Harness {
     Prepared(spec, local, queries, truth)
   }
 
-  /** Timed passes over the query set per method. */
-  private final val TimedPasses = 5
+  /** Timed passes of [[timePasses]]. */
+  final val TimedPasses = 5
+
+  /** Runs `pass` [[TimedPasses]] times and returns the median and the
+    * interquartile range of its wall-clock, in ms. The caller runs it once
+    * untimed first, so that JIT compilation (which the paper's C++
+    * baselines do not pay) is excluded.
+    */
+  def timePasses(pass: => Unit): (Double, Double) = {
+    val ms = Array.fill(TimedPasses) {
+      val t0 = System.nanoTime()
+      pass
+      (System.nanoTime() - t0) / 1e6
+    }.sorted
+    (ms(TimedPasses / 2), ms(3 * TimedPasses / 4) - ms(TimedPasses / 4))
+  }
 
   /** Build one method, timing the build call, and measure it over the whole
-    * query set. One untimed pass over the query set runs first so that JIT
-    * compilation (which the paper's C++ baselines do not pay) is excluded
-    * from the reported per-query time for every method equally. Then each
-    * of [[TimedPasses]] passes gives a mean per-query time; the result
-    * holds their median and interquartile range.
+    * query set: one untimed pass, whose answers are scored, then
+    * [[timePasses]]; the result holds the median and interquartile range
+    * of the mean per-query time.
     */
   def measure(spark: SparkSession, prep: Prepared, method: AnnMethod, k: Int): MethodResult = {
     val b0 = System.nanoTime()
     val idx = method.build(spark, prep.spec, prep.spec.data(spark), prep.local)
     val buildMillis = (System.nanoTime() - b0) / 1000000L
     val answers = prep.queries.map(q => idx.search(q.vec, k))
-    val passMs = Array.fill(TimedPasses) {
-      val t0 = System.nanoTime()
-      prep.queries.foreach(q => idx.search(q.vec, k))
-      (System.nanoTime() - t0) / 1e6 / prep.queries.length
-    }.sorted
+    val (passMs, iqrMs) = timePasses(prep.queries.foreach(q => idx.search(q.vec, k)))
 
     val map = Metrics.mapAtK(
       prep.queries.indices.map(qi =>
@@ -71,17 +78,14 @@ object Harness {
       else Metrics.approximationRatio(a.take(kk).map(_._2).toSeq, t.take(kk).map(_._2).toSeq)
     }.sum / prep.queries.length
 
-    MethodResult(idx.name, prep.spec.name, buildMillis,
-                 idx.indexBytes / 1e6, passMs(TimedPasses / 2),
-                 passMs(3 * TimedPasses / 4) - passMs(TimedPasses / 4), map, ratio)
+    MethodResult(idx.name, prep.spec.name, buildMillis, idx.indexBytes / 1e6,
+                 passMs / prep.queries.length, iqrMs / prep.queries.length, map, ratio)
   }
 
   /** Full comparison on one dataset. */
-  def compareAll(spark: SparkSession, spec: VectorData.Spec, k: Int,
-                 hdAlpha: Int = -1,
-                 skip: Set[String] = Set.empty): Seq[MethodResult] = {
+  def compareAll(spark: SparkSession, spec: VectorData.Spec, k: Int): Seq[MethodResult] = {
     val prep = prepare(spark, spec, k)
-    methods(hdAlpha).filterNot(m => skip.contains(m.name)).map { m =>
+    methods.map { m =>
       val r = measure(spark, prep, m, k)
       Console.err.println(f"[harness] ${spec.name}%-8s ${r.method}%-12s " +
         f"build=${r.buildMillis}%6d ms  idx=${r.indexMB}%9.2f MB  " +

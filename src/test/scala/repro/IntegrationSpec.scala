@@ -90,10 +90,10 @@ class IntegrationSpec extends SparkSpec {
     val bad = Seq(("NaN", with1(Float.NaN), 10), ("+Inf", with1(Float.PositiveInfinity), 10),
                   ("-Inf", with1(Float.NegativeInfinity), 10),
                   ("short", q.init, 10), ("long", q :+ 0f, 10), ("k = 0", q, 0))
-    Harness.methods().foreach { m =>
+    Harness.methods.foreach { m =>
       val idx = m.build(spark, spec, spec.data(spark), local)
       for ((what, v, k) <- bad)
-        withClue(s"${m.name}, $what: ")(intercept[IllegalArgumentException](idx.search(v, k)))
+        withClue(s"${idx.name}, $what: ")(intercept[IllegalArgumentException](idx.search(v, k)))
     }
   }
 }

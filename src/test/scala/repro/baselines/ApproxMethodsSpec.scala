@@ -133,9 +133,10 @@ class ApproxMethodsSpec extends SparkSpec {
                      "reversed ids" -> reversed)
     val digest = (idx: AnnIndex) => TestFixtures.answerDigest(Seq(1, 10, 100))(idx.search)
     Seq[AnnMethod](C2Lsh, Qalsh, Srs, IDistance, Pq).foreach { m =>
-      val one = digest(m.build(spark, spec, data, local))
+      val idx = m.build(spark, spec, data, local)
+      val one = digest(idx)
       inputs.foreach { case (what, in) =>
-        assert(digest(m.build(spark, spec, in, local)) == one, s"${m.name} on $what")
+        assert(digest(m.build(spark, spec, in, local)) == one, s"${idx.name} on $what")
       }
     }
   }

@@ -23,7 +23,7 @@ class HnswSpec extends AnyFunSuite {
   }
 
   test("search on an empty index returns empty") {
-    val idx = new Hnsw.Index(Array.empty, 8, 50, 50, 1)
+    val idx = new Hnsw.Index(Array.empty, 8, 50, 50)
     assert(idx.search(Array(0f, 0f), 3).isEmpty)
   }
 

@@ -67,8 +67,8 @@ class LshSpec extends SparkSpec {
   }
 
   test("C2LSH build is deterministic in the seed") {
-    val a = C2Lsh.buildIndex(spark, ds, data, seed = 3).search(data(0), 5).toSeq
-    val b = C2Lsh.buildIndex(spark, ds, data, seed = 3).search(data(0), 5).toSeq
+    val a = C2Lsh.buildIndex(spark, ds, data).search(data(0), 5).toSeq
+    val b = C2Lsh.buildIndex(spark, ds, data).search(data(0), 5).toSeq
     assert(a == b)
   }
 

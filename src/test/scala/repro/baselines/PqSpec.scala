@@ -34,14 +34,14 @@ class PqSpec extends SparkSpec {
   }
 
   test("plain PQ (no PCA): codes are within codebook range and search works") {
-    val idx = Pq.buildIndex(spark, ds, data, mSub = 2, kCentroids = 16, usePca = false)
+    val idx = Pq.buildIndex(spark, ds, data, kCentroids = 16, usePca = false)
     assert(idx.name == "pq")
     val got = idx.search(data(0), 5)
     assert(got.length == 5)
   }
 
   test("OPQ (PCA rotation): distances in rotated space are preserved") {
-    val idx = Pq.buildIndex(spark, ds, data, mSub = 2, kCentroids = 16, usePca = true)
+    val idx = Pq.buildIndex(spark, ds, data, kCentroids = 16, usePca = true)
     assert(idx.name == "opq")
     // ADC distance should correlate with true distance: the true NN should
     // rank in the top quarter under ADC ordering for clustered data
@@ -56,7 +56,7 @@ class PqSpec extends SparkSpec {
   }
 
   test("PQ ADC self-query: the queried point's own code-cell ranks very well") {
-    val idx = Pq.buildIndex(spark, ds, data, mSub = 2, kCentroids = 32, usePca = false)
+    val idx = Pq.buildIndex(spark, ds, data, kCentroids = 32, usePca = false)
     var ok = 0
     for (i <- 0 until 30) {
       if (idx.search(data(i), 25).map(_._1).contains(i.toLong)) ok += 1
@@ -65,7 +65,7 @@ class PqSpec extends SparkSpec {
   }
 
   test("index bytes: n codes + codebooks") {
-    val idx = Pq.buildIndex(spark, ds, data, mSub = 2, kCentroids = 16, usePca = false)
+    val idx = Pq.buildIndex(spark, ds, data, kCentroids = 16, usePca = false)
     assert(idx.indexBytes == 500L * 2 + 2L * 16 * 4 * 4)
   }
 

@@ -61,29 +61,11 @@ class ReferenceSelectionSpec extends AnyFunSuite {
     assert(refs.distinct.length == 10)
   }
 
-  test("SSS-Dyn returns m references and never a worse contribution set than plain SSS") {
-    val m = 6
-    val sss  = ReferenceSelection.sss(data, m)
-    val dyn  = ReferenceSelection.sssDyn(data, m)
-    assert(dyn.length == m)
-    assert(dyn.distinct.length == m)
-    // contribution objective: sum over sampled pairs of best triangular bound
-    val rng = new scala.util.Random(7)
-    val pairs = Array.fill(200)((rng.nextInt(data.length), rng.nextInt(data.length)))
-    def objective(refs: Array[Int]): Double = pairs.map { case (a, b) =>
-      refs.map(r => math.abs(Distance.l2(data(a), data(r)) - Distance.l2(data(b), data(r)))).max
-    }.sum
-    assert(objective(dyn) >= objective(sss) * 0.9,
-           "SSS-Dyn should be comparable or better on the lower-bound objective")
-  }
-
   test("every method selects no references for m = 0 and rejects a negative m") {
     assert(ReferenceSelection.random(data, 0).isEmpty)
     assert(ReferenceSelection.sss(data, 0).isEmpty)
-    assert(ReferenceSelection.sssDyn(data, 0).isEmpty)
     assertThrows[IllegalArgumentException](ReferenceSelection.random(data, -1))
     assertThrows[IllegalArgumentException](ReferenceSelection.sss(data, -1))
-    assertThrows[IllegalArgumentException](ReferenceSelection.sssDyn(data, -1))
   }
 
   test("selection works on degenerate tiny datasets") {
