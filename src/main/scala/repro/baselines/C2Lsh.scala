@@ -69,7 +69,7 @@ object C2Lsh extends AnnMethod {
     new Index(localData, projections, offsets, w, buckets, threshold, betaN)
   }
 
-  override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
-                     localData: Array[Array[Float]]): AnnIndex =
+  override protected def buildChecked(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
+                                      localData: Array[Array[Float]]): AnnIndex =
     buildIndex(spark, data, localData)
 }

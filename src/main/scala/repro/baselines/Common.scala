@@ -36,23 +36,42 @@ abstract class AnnIndex(val dim: Int) extends Serializable {
   * method's name.
   */
 trait AnnMethod {
-  def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
-            localData: Array[Array[Float]]): AnnIndex
+  /** Every method rejects here an object of `localData` (the driver-side
+    * copy of `data`) of the wrong dimension or with a non-finite
+    * coordinate, naming it by its id.
+    */
+  final def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
+                  localData: Array[Array[Float]]): AnnIndex = {
+    for (id <- localData.indices) HdQuery.checkQuery(localData(id), spec.dim, s"object $id")
+    buildChecked(spark, spec, data, localData)
+  }
+  /** The method's own [[build]], on checked objects. */
+  protected def buildChecked(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
+                             localData: Array[Array[Float]]): AnnIndex
 }
 
 object Common {
   /** [[AnnIndex.dim]] of an index over `data`. */
   def dimOf(data: Array[Array[Float]]): Int = if (data.isEmpty) -1 else data(0).length
 
-  /** `f` of every object of `data`, computed in Spark and stored at the
-    * object's id: the result does not depend on how `data` is partitioned
-    * or ordered. Ids must be dense in [0, n).
+  /** The values of `pairs` placed at their ids, whatever order the pairs
+    * come in. The one check that a dataset's ids are exactly 0 until n:
+    * past it, an id is a dense `Int`.
     */
-  def collectById[T: ClassTag](data: Dataset[VecRow], n: Int)(f: VecRow => T): Array[T] = {
-    val out = new Array[T](n)
-    data.rdd.map(r => r.id -> f(r)).collect().foreach { case (id, v) => out(id.toInt) = v }
+  def byId[T: ClassTag](n: Int, pairs: IterableOnce[(Long, T)]): Array[T] = {
+    val (out, seen) = (new Array[T](n), new java.util.BitSet(n))
+    pairs.iterator.foreach { case (id, v) =>
+      require(id >= 0 && id < n, s"object id $id is out of range [0, $n)")
+      require(!seen.get(id.toInt), s"object id $id is repeated")
+      seen.set(id.toInt); out(id.toInt) = v
+    }
+    require(seen.cardinality == n, s"object id ${seen.nextClearBit(0)} is missing")
     out
   }
+
+  /** `f` of every object of `data`, computed in Spark and placed by [[byId]]. */
+  def collectById[T: ClassTag](data: Dataset[VecRow], n: Int)(f: VecRow => T): Array[T] =
+    byId(n, data.rdd.map(r => r.id -> f(r)).collect())
 
   /** Base bucket width w of C2LSH and QALSH. The paper uses w = 1 on
     * normalised data; here it is 1/8 of the spread of the first

@@ -25,7 +25,7 @@ object IDistance extends AnnMethod {
       data: Array[Array[Float]],
       pivots: Array[Array[Float]],
       // per pivot: ids sorted by distance-to-pivot, plus the parallel dists
-      byPivot: Array[(Array[Long], Array[Double])],
+      byPivot: Array[(Array[Int], Array[Double])],
       r0: Double, dr: Double) extends AnnIndex(Common.dimOf(data)) {
 
     override def name = "idistance"
@@ -56,10 +56,10 @@ object IDistance extends AnnMethod {
           val ub = dq(p) + r
           while (lo(p) > 0 && dists(lo(p) - 1) >= lb) {
             lo(p) -= 1
-            val id = ids(lo(p)); best.offer(id, Distance.l2(data(id.toInt), q)); progressed = true
+            val id = ids(lo(p)); best.offer(id, Distance.l2(data(id), q)); progressed = true
           }
           while (hi(p) < dists.length && dists(hi(p)) <= ub) {
-            val id = ids(hi(p)); best.offer(id, Distance.l2(data(id.toInt), q)); hi(p) += 1; progressed = true
+            val id = ids(hi(p)); best.offer(id, Distance.l2(data(id), q)); hi(p) += 1; progressed = true
           }
           p += 1
         }
@@ -94,7 +94,7 @@ object IDistance extends AnnMethod {
 
     val byPivot = Array.tabulate(pivots.length) { p =>
       val es = keys.indices.filter(keys(_)._1 == p).sortBy(i => (keys(i)._2, i))
-      (es.map(_.toLong).toArray, es.map(keys(_)._2).toArray)
+      (es.toArray, es.map(keys(_)._2).toArray)
     }
     // Δr in absolute units: the published r0/Δr=0.01 are relative to the
     // data scale; scale by the mean pivot distance so expansion terminates
@@ -103,7 +103,7 @@ object IDistance extends AnnMethod {
     new Index(localData, pivots, byPivot, R0 * scale, Dr * scale)
   }
 
-  override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
-                     localData: Array[Array[Float]]): AnnIndex =
+  override protected def buildChecked(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
+                                      localData: Array[Array[Float]]): AnnIndex =
     buildIndex(spark, data, localData)
 }

@@ -40,7 +40,7 @@ object LinearScan extends AnnMethod {
     override def indexBytes: Long = 0L // scans the raw data; no index
   }
 
-  override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
-                     localData: Array[Array[Float]]): AnnIndex =
+  override protected def buildChecked(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
+                                      localData: Array[Array[Float]]): AnnIndex =
     new Index(localData)
 }

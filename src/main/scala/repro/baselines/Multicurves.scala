@@ -23,12 +23,12 @@ object Multicurves extends AnnMethod {
       // leaves store key + full vector (4ν) + pointer per entry
       val cfg  = model.cfg
       val keyB = model.trees.headOption.map(t => (t.width * cfg.omega + 7) / 8).getOrElse(0)
-      model.n * cfg.tau * (keyB + 4L * cfg.dim + 8L)
+      model.n.toLong * cfg.tau * (keyB + 4L * cfg.dim + 8L)
     }
   }
 
-  override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
-                     localData: Array[Array[Float]]): AnnIndex =
+  override protected def buildChecked(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
+                                      localData: Array[Array[Float]]): AnnIndex =
     new Index(HdIndex.build(spark, data, localData, HdIndex.configFor(spec).copy(m = 0)),
               alpha = math.max(100, math.min(4096, spec.n / 10)), localData)
 }

@@ -133,7 +133,7 @@ object Pq extends AnnMethod {
     new Index(rotated, rotation, codebooks, codes, if (usePca) "opq" else "pq")
   }
 
-  override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
-                     localData: Array[Array[Float]]): AnnIndex =
+  override protected def buildChecked(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
+                                      localData: Array[Array[Float]]): AnnIndex =
     buildIndex(spark, data, localData, usePca = spec.dim <= 600)
 }

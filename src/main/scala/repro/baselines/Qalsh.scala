@@ -63,7 +63,7 @@ object Qalsh extends AnnMethod {
     new Index(localData, projections, w, projs, threshold, betaN)
   }
 
-  override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
-                     localData: Array[Array[Float]]): AnnIndex =
+  override protected def buildChecked(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
+                                      localData: Array[Array[Float]]): AnnIndex =
     buildIndex(spark, data, localData)
 }

@@ -80,7 +80,7 @@ object Srs extends AnnMethod {
     new Index(localData, projections, projected)
   }
 
-  override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
-                     localData: Array[Array[Float]]): AnnIndex =
+  override protected def buildChecked(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
+                                      localData: Array[Array[Float]]): AnnIndex =
     buildIndex(spark, data, localData)
 }

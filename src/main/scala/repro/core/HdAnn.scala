@@ -20,8 +20,8 @@ class HdAnnIndex(val model: HdIndexModel, val params: QueryParams,
   * triangular-only filter, α/γ = 4, α scaled with n (DESIGN.md §6).
   */
 final class HdIndexMethod(alphaOverride: Int = -1) extends AnnMethod {
-  override def build(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
-                     localData: Array[Array[Float]]): AnnIndex = {
+  override protected def buildChecked(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
+                                      localData: Array[Array[Float]]): AnnIndex = {
     val model = HdIndex.build(spark, data, localData, HdIndex.configFor(spec))
     val alpha = if (alphaOverride > 0) alphaOverride
                 else math.max(256, math.min(4096, spec.n / 10))

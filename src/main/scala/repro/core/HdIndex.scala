@@ -25,19 +25,18 @@ final case class HdIndexConfig(
 }
 
 /** Driver-side view of one RDB-tree: entries in global Hilbert-key order.
-  * `keys`, `ids` are aligned; reference distances are looked up through the
-  * shared by-id table in the model (physically shared, logically replicated
-  * per leaf — the size accounting uses the paper's per-leaf layout).
+  * `keys`, `ids` (in [0, n)) are aligned; reference distances are looked up
+  * by id in the model's shared table (logically replicated per leaf, as the
+  * size accounting's per-leaf layout assumes).
   */
 final case class LocalTree(treeId: Int, fromDim: Int, width: Int,
-                           keys: Array[Array[Byte]], ids: Array[Long])
+                           keys: Array[Array[Byte]], ids: Array[Int])
 
 /** The built HD-Index: τ RDB-trees + reference objects + the pre-computed
   * reference-to-reference distance matrix (needed by the Ptolemaic filter).
   */
 final class HdIndexModel(
     val cfg: HdIndexConfig,
-    val n: Long,
     val refIds: Array[Int],
     val refs: Array[Array[Float]],
     val refMatrix: Array[Array[Double]],
@@ -48,6 +47,8 @@ final class HdIndexModel(
     * returned as answers but stay in the tree pages.
     */
   val deleted: scala.collection.mutable.Set[Long] = scala.collection.mutable.Set.empty
+  /** The number of objects n: one refdist row each, ids 0 until n. */
+  def n: Int = refdistsById.length
 
   /** Leaf order Ω of tree t (trees can differ when the last dimension slice
     * is narrower).
@@ -63,7 +64,7 @@ final class HdIndexModel(
   def indexBytes: Long =
     trees.indices.map { t =>
       val om     = leafOrder(t)
-      val leaves = (n + om - 1) / om
+      val leaves = (n.toLong + om - 1) / om
       val theta  = RdbTree.internalFanout(trees(t).width, cfg.omega, cfg.pageSize)
       var pages  = leaves
       var level  = leaves
@@ -100,34 +101,28 @@ object HdIndex {
     }
 
     val n = localData.length
-    val byId = new Array[ObjectEntry](n)
-    RdbTree.build(spark, data, refs, cfg.dim, cfg.tau, cfg.omega, cfg.lo, cfg.hi).collect().foreach { e =>
-      require(e.id >= 0 && e.id < n, s"object id ${e.id} is out of range [0, $n)")
-      require(byId(e.id.toInt) == null, s"object id ${e.id} is repeated")
-      byId(e.id.toInt) = e
-    }
-    val missing = byId.indexWhere(_ == null)
-    require(missing < 0, s"object id $missing is missing")
+    val byId = repro.baselines.Common.byId(n,
+      RdbTree.build(spark, data, refs, cfg.dim, cfg.tau, cfg.omega, cfg.lo, cfg.hi).collect().iterator.map(e => e.id -> e))
 
-    // Each tree is its own (key, id) sort of the entries: a total order, so
-    // the trees do not depend on Spark's partitioning. Keys and refdists are
+    // Each tree is its own (key, id) sort of the ids: a total order, so the
+    // trees do not depend on Spark's partitioning. Keys and refdists are
     // copied into fresh arrays, so the model keeps no per-object buffer alive.
     val offs  = RdbTree.keyOffsets(cfg.dim, cfg.tau, cfg.omega)
     val trees = RdbTree.partitions(cfg.dim, cfg.tau).zipWithIndex.map { case ((from, width), t) =>
       val (start, end) = (offs(t), offs(t + 1))
-      val sorted = byId.clone()
-      java.util.Arrays.sort(sorted, (a: ObjectEntry, b: ObjectEntry) => {
+      val sorted = Array.tabulate[Integer](n)(Integer.valueOf)
+      java.util.Arrays.sort(sorted, (a: Integer, b: Integer) => {
         // unsigned lexicographic, as Hilbert.compareKeys
-        val c = java.util.Arrays.compareUnsigned(a.keys, start, end, b.keys, start, end)
-        if (c != 0) c else java.lang.Long.compare(a.id, b.id)
+        val c = java.util.Arrays.compareUnsigned(byId(a).keys, start, end, byId(b).keys, start, end)
+        if (c != 0) c else a.compareTo(b)
       })
-      LocalTree(t, from, width, sorted.map(e => java.util.Arrays.copyOfRange(e.keys, start, end)), sorted.map(_.id))
+      LocalTree(t, from, width, sorted.map(id => java.util.Arrays.copyOfRange(byId(id).keys, start, end)), sorted.map(_.intValue))
     }
     // refdists are allocated in one tree's key order: objects near in space
     // get refdists near in memory, as a window's gather reads them
     val refdistsById = new Array[Array[Float]](n)
-    trees.last.ids.foreach(id => refdistsById(id.toInt) = byId(id.toInt).refdists.clone())
-    new HdIndexModel(cfg, n.toLong, refIds, refs, refMatrix, trees, refdistsById)
+    trees.last.ids.foreach(id => refdistsById(id) = byId(id).refdists.clone())
+    new HdIndexModel(cfg, refIds, refs, refMatrix, trees, refdistsById)
   }
 
   /** Sec. 3.6 insertion: B+-trees are update-friendly, so a new object only
@@ -136,12 +131,10 @@ object HdIndex {
     * Fig. 4, and updates are few relative to n). Each tree gets the new
     * entry at its (key, id) position.
     *
-    * @param id must be the next dense id (== current n), below
-    *           `Int.MaxValue`: a query packs ids into 31 bits
+    * @param id must be the next dense id (== current n)
     * @return a new model sharing cfg/references with the entry inserted
     */
-  def insert(model: HdIndexModel, id: Long, vec: Array[Float]): HdIndexModel = {
-    require(id < Int.MaxValue, s"id $id does not fit: ids must be below ${Int.MaxValue}")
+  def insert(model: HdIndexModel, id: Int, vec: Array[Float]): HdIndexModel = {
     require(id == model.n, s"ids must stay dense: expected ${model.n}, got $id")
     val cfg = model.cfg
     HdQuery.checkQuery(vec, cfg.dim, "inserted vector")
@@ -150,7 +143,7 @@ object HdIndex {
       val key = Hilbert(tr.width, cfg.omega).encodeVector(vec, tr.fromDim, cfg.lo, cfg.hi)
       val lo  = HdQuery.lowerBound(tr.keys, tr.ids, key, id)
       val nk = new Array[Array[Byte]](tr.keys.length + 1)
-      val ni = new Array[Long](tr.ids.length + 1)
+      val ni = new Array[Int](tr.ids.length + 1)
       System.arraycopy(tr.keys, 0, nk, 0, lo); nk(lo) = key
       System.arraycopy(tr.keys, lo, nk, lo + 1, tr.keys.length - lo)
       System.arraycopy(tr.ids, 0, ni, 0, lo); ni(lo) = id
@@ -158,8 +151,8 @@ object HdIndex {
       tr.copy(keys = nk, ids = ni)
     }
     val nrd = java.util.Arrays.copyOf(model.refdistsById, model.refdistsById.length + 1)
-    nrd(id.toInt) = rd
-    val m2 = new HdIndexModel(cfg, model.n + 1, model.refIds, model.refs, model.refMatrix, trees, nrd)
+    nrd(id) = rd
+    val m2 = new HdIndexModel(cfg, model.refIds, model.refs, model.refMatrix, trees, nrd)
     m2.deleted ++= model.deleted
     m2
   }

@@ -110,7 +110,7 @@ object HdQuery {
   /** Index of the first entry >= (qkey, id) in (key, id) order, the order
     * of a tree's aligned `keys` and `ids`: where a new entry is inserted.
     */
-  def lowerBound(keys: Array[Array[Byte]], ids: Array[Long], qkey: Array[Byte], id: Long): Int = {
+  def lowerBound(keys: Array[Array[Byte]], ids: Array[Int], qkey: Array[Byte], id: Int): Int = {
     var lo = 0
     var hi = keys.length
     while (lo < hi) {
@@ -297,7 +297,7 @@ object HdQuery {
       if (dq.length != m) dq = new Array[Double](m)
       var r = 0
       while (r < m) { dq(r) = Distance.l2(q, model.refs(r)); r += 1 }
-      val w = math.min(p.alpha.toLong, model.n).toInt
+      val w = math.min(p.alpha, model.n)
       if (w > packed.length || m > cols.length) {
         val cap = math.max(w, packed.length)
         packed = new Array[Long](cap); betaPos = new Array[Int](cap); gathered = new Array[Int](cap)
@@ -346,11 +346,11 @@ object HdQuery {
       * s + at(i) (s + i when `at` is null), i < n, whose bound in `memo` is
       * still unknown, and zeroes their bounds; returns how many.
       */
-    private def gather(ids: Array[Long], s: Int, at: Array[Int], n: Int, memo: Array[Long]): Int = {
+    private def gather(ids: Array[Int], s: Int, at: Array[Int], n: Int, memo: Array[Long]): Int = {
       var c = 0
       var i = 0
       while (i < n) {
-        val id = ids(s + (if (at == null) i else at(i))).toInt
+        val id = ids(s + (if (at == null) i else at(i)))
         if ((memo(id) & HighWord) != stamp) {
           val rd = refdistsById(id)
           var r = 0
@@ -376,7 +376,7 @@ object HdQuery {
     /** Eq. 5 for the window [s, s + w)'s ids not yet known; packs the
       * window's (triangular bound, position) into packed[0, w).
       */
-    private def triangular(ids: Array[Long], s: Int, w: Int): Unit = {
+    private def triangular(ids: Array[Int], s: Int, w: Int): Unit = {
       val c = gather(ids, s, null, w, triMemo)
       val bs = best
       var r = 0
@@ -396,7 +396,7 @@ object HdQuery {
       * yet known; packs the β set's (Ptolemaic bound, position) into
       * packed[0, b).
       */
-    private def ptolemaic(ids: Array[Long], s: Int, b: Int): Unit = {
+    private def ptolemaic(ids: Array[Int], s: Int, b: Int): Unit = {
       val c = gather(ids, s, betaPos, b, ptoMemo)
       val bs = best
       var k = 0
@@ -416,7 +416,7 @@ object HdQuery {
     }
 
     /** The bits of a known bound. */
-    private def known(memo: Array[Long], id: Long): Int = memo(id.toInt).toInt & Int.MaxValue
+    private def known(memo: Array[Long], id: Int): Int = memo(id).toInt & Int.MaxValue
 
     /** Lines 5–10 for the window [s, e) of one tree: triangular filter,
       * optional Ptolemaic filter, and the γ surviving (bound, id) kept.
@@ -427,7 +427,7 @@ object HdQuery {
       * triangular bound first, which only matters for ties: see
       * [[breakTies]].
       */
-    def filter(ids: Array[Long], s: Int, e: Int): Unit = {
+    def filter(ids: Array[Int], s: Int, e: Int): Unit = {
       val w = e - s
       if (!usePtolemaic) {
         triangular(ids, s, w)
@@ -449,13 +449,13 @@ object HdQuery {
       * the window at s) and adds those not yet kept by an earlier tree to
       * the survivors as (bound, id).
       */
-    private def keep(ids: Array[Long], s: Int, n: Int, g: Int): Unit = {
+    private def keep(ids: Array[Int], s: Int, n: Int, g: Int): Unit = {
       selectSmallest(packed, 0, n, g)
       if (usePtolemaic) breakTies(ids, s, n, g)
       val memo = if (usePtolemaic) ptoMemo else triMemo
       var i = 0
       while (i < g) {
-        val id = ids(s + packed(i).toInt).toInt
+        val id = ids(s + packed(i).toInt)
         if ((memo(id) & Kept) == 0) {
           memo(id) |= Kept
           survivors(nSurvivors) = (packed(i) & HighWord) | id
@@ -472,7 +472,7 @@ object HdQuery {
       * entry was cut are the tied entries chosen again, by
       * (triangular bound, position); they keep their Ptolemaic bound.
       */
-    private def breakTies(ids: Array[Long], s: Int, b: Int, g: Int): Unit = {
+    private def breakTies(ids: Array[Int], s: Int, b: Int, g: Int): Unit = {
       if (g >= b) return
       var cut = 0L
       var i = 0
@@ -495,7 +495,7 @@ object HdQuery {
       i = tiedStart
       while (i < tiedEnd) {
         val pos = packed(i).toInt
-        packed(i) = pack(triBits(ids(s + pos).toInt), pos)
+        packed(i) = pack(triBits(ids(s + pos)), pos)
         i += 1
       }
       selectSmallest(packed, tiedStart, tiedEnd - tiedStart, g - tiedStart)
@@ -598,15 +598,12 @@ object HdQuery {
   private[core] def threadKernel: Kernel = kernels.get
 
   /** Algo. 2 on the driver: the top-k of q by (distance, id), and the
-    * query's cost counters. Ids are `Int`s inside, so the model may hold at
-    * most `Int.MaxValue` objects. The query runs on the calling thread's
-    * kernel; a `getVec` that queries again on the same thread gets a fresh
-    * one.
+    * query's cost counters. The query runs on the calling thread's kernel;
+    * a `getVec` that queries again on the same thread gets a fresh one.
     */
   def searchLocal(model: HdIndexModel, q: Array[Float], p: QueryParams,
                   getVec: Long => Array[Float]): (Array[(Long, Double)], QueryStats) = {
     val cfg = model.cfg
-    require(model.n <= Int.MaxValue, s"the index holds ${model.n} objects, at most ${Int.MaxValue} are supported")
     checkQuery(q, cfg.dim)
     val cached = kernels.get
     val kernel = if (cached.busy) new Kernel else cached

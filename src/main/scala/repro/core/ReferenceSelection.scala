@@ -59,6 +59,7 @@ object ReferenceSelection {
     */
   def sss(data: Array[Array[Float]], m: Int, f: Double = 0.3, seed: Long = 7): Array[Int] = {
     require(m >= 0, s"m must be non-negative, got $m")
+    require(m <= data.length, s"m = $m references need at least $m objects, got n = ${data.length}")
     if (m == 0) return Array.empty
     val dmax = estimateDMax(data, seed = seed)
     val thr  = f * dmax

@@ -84,6 +84,23 @@ class IntegrationSpec extends SparkSpec {
     assert(idx.search(queries(0).vec, 10).length == 10)
   }
 
+  test("every method rejects a NaN, Inf, short or long object, naming it") {
+    val (id, c) = (37, spec.dim / 2)
+    def with1(v: Array[Float]): Array[Array[Float]] = local.updated(id, v)
+    val bad = Seq(
+      ("NaN", with1(local(id).updated(c, Float.NaN)), s"object $id coordinate $c is NaN"),
+      ("+Inf", with1(local(id).updated(c, Float.PositiveInfinity)), s"object $id coordinate $c is Infinity"),
+      ("-Inf", with1(local(id).updated(c, Float.NegativeInfinity)), s"object $id coordinate $c is -Infinity"),
+      ("short", with1(local(id).init), s"object $id has ${spec.dim - 1} dimensions"),
+      ("long", with1(local(id) :+ 0f), s"object $id has ${spec.dim + 1} dimensions"))
+    Harness.methods.foreach { m =>
+      for ((what, objects, message) <- bad) withClue(s"${m.getClass.getSimpleName}, $what: ") {
+        val e = intercept[IllegalArgumentException](m.build(spark, spec, spec.data(spark), objects))
+        assert(e.getMessage.contains(message), e.getMessage)
+      }
+    }
+  }
+
   test("every method rejects a NaN, Inf, short or long query and k = 0") {
     val q = queries(0).vec
     def with1(x: Float): Array[Float] = { val v = q.clone(); v(spec.dim / 2) = x; v }

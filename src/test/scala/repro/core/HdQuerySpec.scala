@@ -18,12 +18,12 @@ class HdQuerySpec extends SparkSpec {
     assert(HdQuery.lowerBound(keys, key1d(9)) == 4)
     // (key, id) order: equal keys are ordered by id
     val dupKeys = Array(1L, 3L, 3L, 3L, 7L).map(key1d)
-    val ids     = Array(0L, 2L, 5L, 9L, 1L)
-    assert(HdQuery.lowerBound(dupKeys, ids, key1d(0), 4L) == 0)
-    assert(HdQuery.lowerBound(dupKeys, ids, key1d(3), 0L) == 1)
-    assert(HdQuery.lowerBound(dupKeys, ids, key1d(3), 4L) == 2)
-    assert(HdQuery.lowerBound(dupKeys, ids, key1d(3), 10L) == 4)
-    assert(HdQuery.lowerBound(dupKeys, ids, key1d(9), 0L) == 5)
+    val ids     = Array(0, 2, 5, 9, 1)
+    assert(HdQuery.lowerBound(dupKeys, ids, key1d(0), 4) == 0)
+    assert(HdQuery.lowerBound(dupKeys, ids, key1d(3), 0) == 1)
+    assert(HdQuery.lowerBound(dupKeys, ids, key1d(3), 4) == 2)
+    assert(HdQuery.lowerBound(dupKeys, ids, key1d(3), 10) == 4)
+    assert(HdQuery.lowerBound(dupKeys, ids, key1d(9), 0) == 5)
   }
 
   test("selectWindow picks the numerically nearest alpha keys") {
@@ -297,7 +297,7 @@ class HdQuerySpec extends SparkSpec {
       val tree = m.trees(t)
       val qkey = Hilbert(tree.width, cfg.omega).encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
       val (s, e) = greedyWindow(tree.keys, qkey, p.alpha)
-      val ids = java.util.Arrays.copyOfRange(tree.ids, s, e)
+      val ids = java.util.Arrays.copyOfRange(tree.ids, s, e).map(_.toLong)
       val rd: Int => Array[Float] = i => m.refdistsById(ids(i).toInt)
       val n = ids.length
       val byTri = orderByBound(n, i => HdQuery.triBound(dq, rd(i)))
@@ -336,7 +336,7 @@ class HdQuerySpec extends SparkSpec {
     */
   private def withRefs(refIds: Array[Int]): HdIndexModel = {
     val refs = refIds.map(TestFixtures.tinyLocal(_))
-    new HdIndexModel(model.cfg.copy(m = refs.length), model.n, refIds, refs,
+    new HdIndexModel(model.cfg.copy(m = refs.length), refIds, refs,
                      Array.tabulate(refs.length, refs.length)((i, j) => Distance.l2(refs(i), refs(j))),
                      model.trees, TestFixtures.tinyLocal.map(v => refs.map(r => Distance.l2(v, r).toFloat)))
   }
@@ -355,7 +355,7 @@ class HdQuerySpec extends SparkSpec {
       QueryParams(1, 256, 256, 64),                     // k = 1: most of the rerank is beyond worst
       QueryParams(5, 256, 256, 64, usePtolemaic = true))
     // a private copy of the model, so marks don't leak into shared fixtures
-    val withDeletes = new HdIndexModel(model.cfg, model.n, model.refIds, model.refs, model.refMatrix,
+    val withDeletes = new HdIndexModel(model.cfg, model.refIds, model.refs, model.refMatrix,
                                        model.trees, model.refdistsById)
     withDeletes.deleted ++= truth.take(10).flatMap(_.take(3).map(_._1)) ++ (0L until model.n by 7L)
     // two more copies of each query's 20 nearest objects: equal vectors have
@@ -549,27 +549,6 @@ class HdQuerySpec extends SparkSpec {
     var tries = 0
     while (refs.exists(_.get != null) && tries < 10) { System.gc(); Thread.sleep(20); tries += 1 }
     assert(refs.forall(_.get == null), "the kernel still reaches the model, the query or a vector")
-  }
-
-  /** A model of n objects with no references and no trees. */
-  private def emptyModel(n: Long): HdIndexModel =
-    new HdIndexModel(HdIndexConfig(dim = 4, tau = 1, omega = 8, lo = 0, hi = 1, m = 0), n,
-                     Array.empty, Array.empty, Array.empty, Array.empty, Array.empty)
-
-  test("searchLocal rejects an index of more than Int.MaxValue objects") {
-    val q = new Array[Float](4)
-    val e = intercept[IllegalArgumentException](
-      HdQuery.searchLocal(emptyModel(1L << 31), q, params, _ => q))
-    assert(e.getMessage.contains(s"${1L << 31} objects"), e.getMessage)
-    assert(HdQuery.searchLocal(emptyModel(Int.MaxValue), q, params, _ => q)._1.isEmpty)
-  }
-
-  test("insert rejects the id Int.MaxValue and above") {
-    val v = new Array[Float](4)
-    for (n <- Seq(Int.MaxValue.toLong, 1L << 31)) {
-      val e = intercept[IllegalArgumentException](HdIndex.insert(emptyModel(n), n, v))
-      assert(e.getMessage.contains(s"id $n does not fit"), e.getMessage)
-    }
   }
 
   private def answerDigest(p: QueryParams): String =

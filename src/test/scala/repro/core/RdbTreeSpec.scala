@@ -1,6 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.Dataset
 import repro.{SparkSpec, TestFixtures, VecRow, VectorData}
+import repro.baselines.{AnnMethod, C2Lsh, IDistance, Pq, Qalsh, Srs}
 
 class RdbTreeSpec extends SparkSpec {
 
@@ -91,7 +93,7 @@ class RdbTreeSpec extends SparkSpec {
 
   test("every tree contains every object id exactly once") {
     model.trees.foreach { t =>
-      assert(t.ids.sorted.toSeq == (0L until spec.n.toLong).toSeq)
+      assert(t.ids.sorted.toSeq == (0 until spec.n))
     }
   }
 
@@ -111,7 +113,7 @@ class RdbTreeSpec extends SparkSpec {
       val h = Hilbert(t.width, model.cfg.omega)
       for (_ <- 1 to 50) {
         val i = rng.nextInt(t.ids.length)
-        val expect = h.encodeVector(local(t.ids(i).toInt), t.fromDim, model.cfg.lo, model.cfg.hi)
+        val expect = h.encodeVector(local(t.ids(i)), t.fromDim, model.cfg.lo, model.cfg.hi)
         assert(t.keys(i).toSeq == expect.toSeq)
       }
     }
@@ -155,9 +157,9 @@ class RdbTreeSpec extends SparkSpec {
     * vector's key, sorted by (key, id).
     */
   private def referenceTree(local: Array[Array[Float]], cfg: HdIndexConfig,
-                            from: Int, width: Int): (Array[Array[Byte]], Array[Long]) = {
+                            from: Int, width: Int): (Array[Array[Byte]], Array[Int]) = {
     val h = Hilbert(width, cfg.omega)
-    val sorted = local.indices.map(i => (h.encodeVector(local(i), from, cfg.lo, cfg.hi), i.toLong))
+    val sorted = local.indices.map(i => (h.encodeVector(local(i), from, cfg.lo, cfg.hi), i))
       .sortWith { case ((ka, ia), (kb, ib)) =>
         val c = Hilbert.compareKeys(ka, kb)
         c < 0 || (c == 0 && ia < ib)
@@ -187,20 +189,28 @@ class RdbTreeSpec extends SparkSpec {
     assertReferenceOrder(m, local, "tiny twice")
   }
 
-  /** The message of the error `HdIndex.build` raises on `data`. */
-  private def buildError(data: org.apache.spark.sql.Dataset[VecRow]): String =
-    intercept[IllegalArgumentException](
-      HdIndex.build(spark, data, TestFixtures.tinyLocal, model.cfg)).getMessage
+  /** Each build that places objects by id fails on `data` with `message`:
+    * HD-Index's, and the five baselines' that place theirs through
+    * `Common.collectById`.
+    */
+  private def assertBuildsFail(data: Dataset[VecRow], message: String): Unit = {
+    val local = TestFixtures.tinyLocal
+    val builds = ("hdindex" -> (() => HdIndex.build(spark, data, local, model.cfg): Any)) +:
+      Seq[AnnMethod](C2Lsh, Qalsh, Srs, IDistance, Pq).map(m =>
+        m.getClass.getSimpleName -> (() => m.build(spark, spec, data, local): Any))
+    for ((name, build) <- builds)
+      withClue(s"$name: ")(assert(intercept[IllegalArgumentException](build()).getMessage == message))
+  }
 
   test("an input missing an id fails, naming the id") {
     import spark.implicits._
-    assert(buildError(spec.data(spark).filter($"id" =!= 5L)) == "requirement failed: object id 5 is missing")
+    assertBuildsFail(spec.data(spark).filter($"id" =!= 5L), "requirement failed: object id 5 is missing")
   }
 
   test("an input repeating an id fails, naming the id") {
     import spark.implicits._
     val data = spec.data(spark).map(r => if (r.id == 5L) r.copy(id = 6L) else r)
-    assert(buildError(data) == "requirement failed: object id 6 is repeated")
+    assertBuildsFail(data, "requirement failed: object id 6 is repeated")
   }
 
   test("an input with an id out of [0, n) fails, naming the id") {
@@ -208,7 +218,7 @@ class RdbTreeSpec extends SparkSpec {
     val n = spec.n.toLong
     for (bad <- Seq(-1L, n, 1L << 31)) {
       val data = spec.data(spark).map(r => if (r.id == 5L) r.copy(id = bad) else r)
-      assert(buildError(data) == s"requirement failed: object id $bad is out of range [0, $n)")
+      assertBuildsFail(data, s"requirement failed: object id $bad is out of range [0, $n)")
     }
   }
 

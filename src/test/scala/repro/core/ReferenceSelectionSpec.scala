@@ -68,6 +68,13 @@ class ReferenceSelectionSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](ReferenceSelection.sss(data, -1))
   }
 
+  test("SSS rejects more references than objects, naming both counts") {
+    val five = data.take(5)
+    val e = intercept[IllegalArgumentException](ReferenceSelection.sss(five, 10))
+    assert(e.getMessage.contains("m = 10") && e.getMessage.contains("n = 5"), e.getMessage)
+    assert(ReferenceSelection.sss(five, 5).sorted.toSeq == (0 until 5))
+  }
+
   test("selection works on degenerate tiny datasets") {
     val two = Array(Array(0f, 0f), Array(1f, 1f))
     assert(ReferenceSelection.random(two, 5).length == 2) // capped at n

@@ -26,7 +26,7 @@ class UpdateSpec extends SparkSpec {
         val c = Hilbert.compareKeys(tr.keys(i - 1), tr.keys(i))
         assert(c < 0 || (c == 0 && tr.ids(i - 1) < tr.ids(i)))
       }
-      assert(tr.ids.sorted.toSeq == (0L until m1.n).toSeq)
+      assert(tr.ids.sorted.toSeq == (0 until m1.n))
     }
   }
 
@@ -35,7 +35,7 @@ class UpdateSpec extends SparkSpec {
     val v  = spec.point(4242L)
     val m1 = HdIndex.insert(m0, m0.n, v)
     val expect = m1.refs.map(r => Distance.l2(v, r).toFloat)
-    assert(m1.refdistsById(m0.n.toInt).toSeq == expect.toSeq)
+    assert(m1.refdistsById(m0.n).toSeq == expect.toSeq)
   }
 
   test("the reference set is NOT recomputed on insert (Sec. 3.6)") {
@@ -58,7 +58,7 @@ class UpdateSpec extends SparkSpec {
   test("several inserts compose") {
     var m = freshModel()
     val extra = (0 until 5).map(i => spec.point(50000L + i))
-    extra.zipWithIndex.foreach { case (v, i) => m = HdIndex.insert(m, 500L + i, v) }
+    extra.zipWithIndex.foreach { case (v, i) => m = HdIndex.insert(m, 500 + i, v) }
     assert(m.n == 505)
     m.trees.foreach(tr => assert(tr.ids.length == 505))
   }
