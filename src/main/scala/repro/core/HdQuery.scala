@@ -34,15 +34,16 @@ final case class QueryStats(leafPages: Long, randomAccesses: Long, kappa: Int)
   * object's bounds are computed once per query and remembered by id: per
   * window, the unknown ones in column loops over the gathered refdists, a
   * reference or a reference pair at a time, bit for bit [[triBound]] and
-  * [[ptolemaicBound]]. The filters cut to β and γ by in-place selection
-  * over packed (bound, position) longs; with the Ptolemaic filter, the
-  * triangular pass runs only where β cuts, and triangular bounds rank only
-  * the entries tied at the γ cut, as Algo 2's order requires. The arrays
-  * are one workspace per thread, reused by its queries: memo slots carry the
-  * query's epoch, so a query clears nothing, and a kept bit in the memo
-  * lets each id enter the survivors once, as one (bound, id) long. The
-  * exact rerank takes the k survivors of lowest bound first, sorted, then
-  * the rest, four candidates at a time ([[Distance.l2sq4]]), gives up on a
+  * [[ptolemaicBound]]. The filters cut to β and γ by branch-free in-place
+  * selection over packed (bound, position) longs; with the Ptolemaic
+  * filter, the triangular pass runs only where β cuts, and triangular
+  * bounds rank only the entries tied at the γ cut, as Algo 2's order
+  * requires. The arrays are one workspace per thread, reused by its
+  * queries: memo slots carry the query's epoch, so a query clears nothing,
+  * and an id→slot table admits each id to the survivors once and counts
+  * the trees whose γ cut kept it. The exact rerank takes the survivors most
+  * trees kept first (the collision count of C2LSH, Gan et al., SIGMOD
+  * 2012), four candidates at a time ([[Distance.l2sq4]]), gives up on a
   * group once all four are beyond the current k-th distance, and keeps the
   * top k by (distance, id) in a [[Distance.TopK]]: the answer is the full
   * rerank's, bit for bit.
@@ -167,45 +168,53 @@ object HdQuery {
 
   /** A non-negative bound's float bits (order-preserving for non-negative
     * floats) above a position: longs that order by (bound, position), so
-    * ties break by position in the window. A survivor keeps the bound's
-    * word (`& HighWord`) and swaps the position for its id.
+    * ties break by position in the window.
     */
   private def pack(boundBits: Int, pos: Int): Long = (boundBits.toLong << 32) | pos.toLong
 
   private final val HighWord = 0xFFFFFFFF00000000L
 
-  /** A memo slot's bit for an id already among the query's survivors:
-    * bit 31, above any non-negative float's bits.
-    */
-  private final val Kept = 0x80000000L
-
   /** Rearranges a[from, from + n) so that a[from, from + k) holds its k
-    * smallest values, in no particular order (quickselect with
-    * median-of-three pivots).
+    * smallest values, in no particular order. Quickselect whose partition
+    * has no data-dependent branch (Lomuto's: swap each value to the store
+    * index, then advance it by the comparison; as BlockQuicksort, Edelkamp
+    * & Weiß, ESA 2016, argues, a mispredicted branch per value is what
+    * costs). The median of three is the pivot, placed at its final index
+    * after each round, so a round settles at least one value even in a run
+    * of equal values (the kernel's packed values are distinct).
     */
-  private def selectSmallest(a: Array[Long], from: Int, n: Int, k: Int): Unit = {
+  private[core] def selectSmallest(a: Array[Long], from: Int, n: Int, k: Int): Unit = {
     if (k <= 0 || k >= n) return
     val t = from + k - 1
     var lo = from
     var hi = from + n - 1
     while (lo < hi) {
-      val x = a(lo); val y = a((lo + hi) >>> 1); val z = a(hi)
-      val pivot = math.max(math.min(x, y), math.min(math.max(x, y), z))
+      // a(lo) <= a(hi) <= a(mid): the median of the three at hi
+      val mid = (lo + hi) >>> 1
+      if (a(mid) < a(lo)) swap(a, mid, lo)
+      if (a(hi) < a(lo)) swap(a, hi, lo)
+      if (a(mid) < a(hi)) swap(a, mid, hi)
+      val pivot = a(hi)
+      var store = lo
       var i = lo
-      var j = hi
-      while (i <= j) {
-        while (a(i) < pivot) i += 1
-        while (a(j) > pivot) j -= 1
-        if (i <= j) {
-          val tmp = a(i); a(i) = a(j); a(j) = tmp
-          i += 1; j -= 1
-        }
+      while (i < hi) {
+        val x = a(i)
+        a(i) = a(store)
+        a(store) = x
+        store += (if (x < pivot) 1 else 0)
+        i += 1
       }
-      // a[lo, j] <= pivot <= a[i, hi], and a(j + 1 until i) == pivot
-      if (t <= j) hi = j
-      else if (t >= i) lo = i
+      // a[lo, store) < pivot <= a[store, hi)
+      a(hi) = a(store)
+      a(store) = pivot
+      if (t < store) hi = store - 1
+      else if (t > store) lo = store + 1
       else return
     }
+  }
+
+  private def swap(a: Array[Long], i: Int, j: Int): Unit = {
+    val t = a(i); a(i) = a(j); a(j) = t
   }
 
   /** One thread's filter and rerank workspace (Algo. 2 lines 5–16): primitive
@@ -220,26 +229,23 @@ object HdQuery {
     * bound's float bits in the low word. A slot is known only when its
     * epoch is the query's, so a query bumps the epoch instead of clearing
     * the memos (the version-tagged visited list of hnswlib, Malkov &
-    * Yashunin, IEEE TPAMI 2020); the memos are cleared once when the epoch
-    * would wrap. The admitting memo (the Ptolemaic one when that filter is
-    * on) also holds the [[Kept]] bit, set when an id enters the survivors,
-    * so each id enters once: the survivors are the distinct candidates.
+    * Yashunin, IEEE TPAMI 2020). `slotOf` (another 8 B per id) is stamped
+    * the same way and holds an id's index among the survivors, so each id
+    * enters once (the survivors are the distinct candidates) and `hits`
+    * counts the trees whose γ cut kept it. All three are cleared once when
+    * the epoch would wrap.
     *
-    * Per window, the refdists of the ids whose bound is still unknown are
-    * gathered, widened to `Double`, into one column per reference. The
-    * bound is then computed a reference (Eq. 5) or a reference pair (Eq. 6)
-    * at a time, in one loop over the gathered objects that C2 can
-    * vectorise (each column is its own array: C2 does not vectorise two
-    * offsets into one array). Each lane does the IEEE operations of
-    * [[triBound]] or [[ptolemaicBound]] in their order (Java never fuses
-    * them into an FMA). With finite distances every term is non-negative
-    * and not NaN, where `Math.max` is their `if (b > best) best = b`, so
-    * the bits are theirs. [[checkQuery]] keeps NaN and ±Inf coordinates
-    * out of queries and indexed objects.
-    *
-    * A survivor is packed as (bound bits, id), the bound being the one that
-    * admitted it (triangular, or Ptolemaic when that filter is on); an id
-    * has the same bound in every tree.
+    * Per window, a known bound is packed as it is read from its memo; the
+    * refdists of the ids whose bound is still unknown are gathered, widened
+    * to `Double`, into one column per reference. The bound is then computed
+    * a reference (Eq. 5) or a reference pair (Eq. 6) at a time, in one loop
+    * over the gathered objects that C2 can vectorise (each column is its own
+    * array: C2 does not vectorise two offsets into one array). Each lane
+    * does the IEEE operations of [[triBound]] or [[ptolemaicBound]] in their
+    * order (Java never fuses them into an FMA). With finite distances every
+    * term is non-negative and not NaN, where `Math.max` is their
+    * `if (b > best) best = b`, so the bits are theirs. [[checkQuery]] keeps
+    * NaN and ±Inf coordinates out of queries and indexed objects.
     */
   private[core] final class Kernel {
     /** The running query's epoch, in [1, Int.MaxValue]; a slot of epoch 0
@@ -249,6 +255,10 @@ object HdQuery {
     private var stamp     = 0L
     /** Whether a query is running on this kernel. */
     var busy              = false
+    /** Coordinates the running query's rerank has summed, over every
+      * candidate it computed a distance for (a stage counter for benches).
+      */
+    private[core] var rerankCoords = 0L
     // the running query's parameters and model tables
     private var usePtolemaic = false
     private var beta      = 0
@@ -259,12 +269,20 @@ object HdQuery {
     private var dq        = new Array[Double](0)
     private var packed    = new Array[Long](0)
     private var betaPos   = new Array[Int](0)
-    private var survivors = new Array[Long](0)
+    // the distinct survivors' ids in admission order, and their hit counts
+    private var survivors = new Array[Int](0)
+    private var hits      = new Array[Int](0)
     private var nSurvivors = 0
+    // the survivors by hit count, most first, and the counting sort's buckets
+    private var order     = new Array[Int](0)
+    private var buckets   = new Array[Int](0)
     private var triMemo   = new Array[Long](0)
     private var ptoMemo   = new Array[Long](0)
-    // the objects gathered from a window: ids, refdist columns, bounds so far
+    private var slotOf    = new Array[Long](0)
+    // the objects gathered from a window: ids, where their packed entries
+    // are, refdist columns, bounds so far
     private var gathered  = new Array[Int](0)
+    private var gatheredAt = new Array[Int](0)
     private var cols      = new Array[Array[Double]](0)
     private var best      = new Array[Double](0)
     // Eq. 6's reference pairs (i < j) with d(R_i, R_j) > 0, in (i, j) order
@@ -284,10 +302,12 @@ object HdQuery {
       if (epoch == Int.MaxValue) {
         java.util.Arrays.fill(triMemo, 0L)
         java.util.Arrays.fill(ptoMemo, 0L)
+        java.util.Arrays.fill(slotOf, 0L)
         epoch = 0
       }
       epoch += 1
       stamp = epoch.toLong << 32
+      rerankCoords = 0L
       usePtolemaic = p.usePtolemaic
       beta = p.beta
       gamma = p.gamma
@@ -300,13 +320,18 @@ object HdQuery {
       val w = math.min(p.alpha, model.n)
       if (w > packed.length || m > cols.length) {
         val cap = math.max(w, packed.length)
-        packed = new Array[Long](cap); betaPos = new Array[Int](cap); gathered = new Array[Int](cap)
+        packed = new Array[Long](cap); betaPos = new Array[Int](cap)
+        gathered = new Array[Int](cap); gatheredAt = new Array[Int](cap)
         best = new Array[Double](cap); cols = Array.ofDim[Double](math.max(m, cols.length), cap)
       }
       val cut = model.trees.length * math.min(w, gamma)
-      if (cut > survivors.length) survivors = new Array[Long](cut)
+      if (cut > survivors.length) {
+        survivors = new Array[Int](cut); hits = new Array[Int](cut); order = new Array[Int](cut)
+      }
+      if (model.trees.length >= buckets.length) buckets = new Array[Int](model.trees.length + 1)
       nSurvivors = 0
       triMemo = fit(triMemo, refdistsById.length)
+      slotOf = fit(slotOf, refdistsById.length)
       if (usePtolemaic) {
         ptoMemo = fit(ptoMemo, refdistsById.length)
         if (pairI.length < m * (m - 1) / 2) {
@@ -342,21 +367,29 @@ object HdQuery {
       busy = false
     }
 
-    /** Gathers into `cols` the refdists of the ids at window positions
-      * s + at(i) (s + i when `at` is null), i < n, whose bound in `memo` is
-      * still unknown, and zeroes their bounds; returns how many.
+    /** Packs (bound, position) into packed(i) for the window entries at
+      * positions s + at(i) (s + i when `at` is null), i < n: at once when
+      * the bound is known in `memo`, else only the position, for
+      * [[remember]] to complete. The unknown ones' refdists are gathered
+      * into `cols`, their ids into `gathered` and their i into `gatheredAt`,
+      * and their bounds zeroed; returns how many.
       */
     private def gather(ids: Array[Int], s: Int, at: Array[Int], n: Int, memo: Array[Long]): Int = {
       var c = 0
       var i = 0
       while (i < n) {
-        val id = ids(s + (if (at == null) i else at(i)))
-        if ((memo(id) & HighWord) != stamp) {
+        val pos = if (at == null) i else at(i)
+        val id = ids(s + pos)
+        val slot = memo(id)
+        if ((slot & HighWord) == stamp) packed(i) = pack(slot.toInt, pos)
+        else {
           val rd = refdistsById(id)
           var r = 0
           while (r < m) { cols(r)(c) = rd(r); r += 1 }
           gathered(c) = id
+          gatheredAt(c) = i
           best(c) = 0.0
+          packed(i) = pos.toLong
           c += 1
         }
         i += 1
@@ -364,11 +397,15 @@ object HdQuery {
       c
     }
 
-    /** Stores the first c bounds in `memo`, by gathered id, as known. */
+    /** Stores the first c bounds in `memo`, by gathered id, as known, and
+      * adds them to their packed entries.
+      */
     private def remember(c: Int, memo: Array[Long]): Unit = {
       var o = 0
       while (o < c) {
-        memo(gathered(o)) = stamp | java.lang.Float.floatToIntBits(best(o).toFloat)
+        val bits = java.lang.Float.floatToIntBits(best(o).toFloat)
+        memo(gathered(o)) = stamp | bits
+        packed(gatheredAt(o)) |= bits.toLong << 32
         o += 1
       }
     }
@@ -388,8 +425,6 @@ object HdQuery {
         r += 1
       }
       remember(c, triMemo)
-      var i = 0
-      while (i < w) { packed(i) = pack(known(triMemo, ids(s + i)), i); i += 1 }
     }
 
     /** Eq. 6 for the β set's ids (window positions s + betaPos[0, b)) not
@@ -411,15 +446,10 @@ object HdQuery {
         k += 1
       }
       remember(c, ptoMemo)
-      var i = 0
-      while (i < b) { packed(i) = pack(known(ptoMemo, ids(s + betaPos(i))), betaPos(i)); i += 1 }
     }
 
-    /** The bits of a known bound. */
-    private def known(memo: Array[Long], id: Int): Int = memo(id).toInt & Int.MaxValue
-
     /** Lines 5–10 for the window [s, e) of one tree: triangular filter,
-      * optional Ptolemaic filter, and the γ surviving (bound, id) kept.
+      * optional Ptolemaic filter, and the γ surviving ids kept.
       *
       * With the Ptolemaic filter, the triangular pass runs only where β
       * cuts (β < w); otherwise the β set is the whole window. The γ cut
@@ -446,19 +476,21 @@ object HdQuery {
     }
 
     /** Selects the g smallest of packed[0, n) (position-packed entries of
-      * the window at s) and adds those not yet kept by an earlier tree to
-      * the survivors as (bound, id).
+      * the window at s): a hit for each of their ids, and those not yet
+      * kept by an earlier tree added to the survivors.
       */
     private def keep(ids: Array[Int], s: Int, n: Int, g: Int): Unit = {
       selectSmallest(packed, 0, n, g)
       if (usePtolemaic) breakTies(ids, s, n, g)
-      val memo = if (usePtolemaic) ptoMemo else triMemo
       var i = 0
       while (i < g) {
         val id = ids(s + packed(i).toInt)
-        if ((memo(id) & Kept) == 0) {
-          memo(id) |= Kept
-          survivors(nSurvivors) = (packed(i) & HighWord) | id
+        val slot = slotOf(id)
+        if ((slot & HighWord) == stamp) hits(slot.toInt) += 1
+        else {
+          slotOf(id) = stamp | nSurvivors
+          survivors(nSurvivors) = id
+          hits(nSurvivors) = 1
           nSurvivors += 1
         }
         i += 1
@@ -481,7 +513,7 @@ object HdQuery {
       var tiedEnd = g
       i = g
       while (i < b) {
-        if ((packed(i) & HighWord) == cut) { swap(i, tiedEnd); tiedEnd += 1 }
+        if ((packed(i) & HighWord) == cut) { swap(packed, i, tiedEnd); tiedEnd += 1 }
         i += 1
       }
       if (tiedEnd == g) return
@@ -489,7 +521,7 @@ object HdQuery {
       var tiedStart = 0
       i = 0
       while (i < g) {
-        if ((packed(i) & HighWord) != cut) { swap(i, tiedStart); tiedStart += 1 }
+        if ((packed(i) & HighWord) != cut) { swap(packed, i, tiedStart); tiedStart += 1 }
         i += 1
       }
       i = tiedStart
@@ -503,17 +535,13 @@ object HdQuery {
       while (i < g) { packed(i) = cut | (packed(i) & ~HighWord); i += 1 }
     }
 
-    private def swap(i: Int, j: Int): Unit = {
-      val t = packed(i); packed(i) = packed(j); packed(j) = t
-    }
-
     /** The triangular bound's bits for one id, through its memo: where β
       * does not cut, the column pass has not run, and only tied entries need
       * this bound.
       */
     private def triBits(id: Int): Int = {
       val slot = triMemo(id)
-      if ((slot & HighWord) == stamp) slot.toInt & Int.MaxValue
+      if ((slot & HighWord) == stamp) slot.toInt
       else {
         val bits = java.lang.Float.floatToIntBits(triBound(dq, refdistsById(id)).toFloat)
         triMemo(id) = stamp | bits
@@ -525,27 +553,38 @@ object HdQuery {
       * candidates; returns their top-k by exact distance, ascending by
       * (distance, id), and κ.
       *
-      * The k survivors of lowest bound are reranked first, in bound order,
-      * so that `worst` tightens early; the rest follow in the order the
-      * selection leaves them. They are reranked four at a time by
-      * [[Distance.l2sq4]], which gives up on a group once all four are
-      * beyond `worst`: [[Distance.TopK.offer]] would reject each of them.
-      * `TopK` orders by (distance, id), a total order, so the answer is the
-      * full rerank's in any order. A last group of fewer than four is
-      * padded with q, whose lanes are never offered.
+      * The survivors that more trees kept are reranked first (a counting
+      * sort by hit count, most first, in admission order within a count):
+      * they tend to be nearer, so `worst` tightens early. They are reranked
+      * four at a time by [[Distance.l2sq4]], which gives up on a group once
+      * all four are beyond `worst`: [[Distance.TopK.offer]] would reject
+      * each of them. `TopK` orders by (distance, id), a total order, so the
+      * answer is the full rerank's in any order. A last group of fewer than
+      * four is padded with q, whose lanes are never offered.
       */
     def answer(q: Array[Float], getVec: Long => Array[Float], k: Int,
                deleted: scala.collection.Set[Long]): (Array[(Long, Double)], Int) = {
-      val first = math.min(k, nSurvivors)
-      selectSmallest(survivors, 0, nSurvivors, first)
-      java.util.Arrays.sort(survivors, 0, first)
+      java.util.Arrays.fill(buckets, 0)
+      var i = 0
+      while (i < nSurvivors) { buckets(hits(i)) += 1; i += 1 }
+      // each count's first index in `order`, counts descending
+      var at = 0
+      var h = buckets.length - 1
+      while (h > 0) { val c = buckets(h); buckets(h) = at; at += c; h -= 1 }
+      i = 0
+      while (i < nSurvivors) {
+        val b = hits(i)
+        order(buckets(b)) = survivors(i)
+        buckets(b) += 1
+        i += 1
+      }
       val anyDeleted = deleted.nonEmpty
-      val top = new Distance.TopK(first)
+      val top = new Distance.TopK(math.min(k, nSurvivors))
       var filled = 0
       var kappa = 0
-      var i = 0
+      i = 0
       while (i < nSurvivors) {
-        val id = survivors(i) & Int.MaxValue
+        val id = order(i).toLong
         if (!(anyDeleted && deleted.contains(id))) {
           group(filled) = getVec(id)
           groupIds(filled) = id
@@ -565,8 +604,9 @@ object HdQuery {
     private def rerank(q: Array[Float], top: Distance.TopK, filled: Int): Unit = {
       var j = filled
       while (j < 4) { group(j) = q; j += 1 }
-      if (Distance.l2sq4(q, group(0), group(1), group(2), group(3), Distance.sqCap(top.worst), sums)
-            == q.length) {
+      val summed = Distance.l2sq4(q, group(0), group(1), group(2), group(3), Distance.sqCap(top.worst), sums)
+      rerankCoords += summed.toLong * filled
+      if (summed == q.length) {
         j = 0
         while (j < filled) { top.offer(groupIds(j), math.sqrt(sums(j))); j += 1 }
       }

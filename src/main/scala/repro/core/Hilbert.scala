@@ -171,18 +171,13 @@ final case class Hilbert(dims: Int, order: Int) extends Serializable {
 object Hilbert {
 
   /** Unsigned lexicographic comparison of two fixed-width keys — identical to
-    * Spark's BinaryType ordering and to hex-string ordering in DuckDB.
+    * Spark's BinaryType ordering and to hex-string ordering in DuckDB. It is
+    * `java.util.Arrays.compareUnsigned`, the comparison `HdIndex.build`'s
+    * tree sort uses on key ranges.
     */
   def compareKeys(a: Array[Byte], b: Array[Byte]): Int = {
     require(a.length == b.length, "keys of different curves are not comparable")
-    var i = 0
-    while (i < a.length) {
-      val ai = a(i) & 0xff
-      val bi = b(i) & 0xff
-      if (ai != bi) return ai - bi
-      i += 1
-    }
-    0
+    java.util.Arrays.compareUnsigned(a, b)
   }
 
   /** Uppercase hex rendering; sorts identically to the byte key. */

@@ -533,6 +533,12 @@ class HdQuerySpec extends SparkSpec {
       kernel.epoch = Int.MaxValue
       for (qi <- 10 until 20; p <- ps.reverse) check(p, qi)
       assert(kernel.epoch == 20)
+      // the same queries at the same epochs 1 to 10 after a wrap: an
+      // uncleared id-to-slot table would read each id's old slot as this
+      // query's, drop the id and change kappa
+      kernel.epoch = Int.MaxValue
+      for (qi <- 10 until 15; p <- ps.reverse) check(p, qi)
+      assert(kernel.epoch == 10)
     }
   }
 
