@@ -30,9 +30,9 @@ class PtolemaicBench extends SparkSpec {
     println(f"${"filter"}%-28s ${"MAP@10"}%8s ${"ms/query"}%9s")
     val configs = Seq(
       ("tri alpha/gamma=4",        QueryParams(10, alpha, alpha / 4, alpha / 4)),
-      ("tri+pto a/b=1, b/g=4",     QueryParams(10, alpha, alpha, alpha / 4, usePtolemaic = true)),
+      ("tri+pto a/b=1, b/g=4",     QueryParams(10, alpha, alpha, alpha / 4)),
       ("tri alpha/gamma=16",       QueryParams(10, alpha, alpha / 16, alpha / 16)),
-      ("tri+pto a/b=1, b/g=16",    QueryParams(10, alpha, alpha, alpha / 16, usePtolemaic = true)))
+      ("tri+pto a/b=1, b/g=16",    QueryParams(10, alpha, alpha, alpha / 16)))
     // warm every configuration before timing any: otherwise the first one
     // is timed on code the JIT has not compiled yet
     for ((_, p) <- configs; q <- queries) HdQuery.searchLocal(model, q.vec, p, id => local(id.toInt))

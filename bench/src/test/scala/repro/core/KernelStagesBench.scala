@@ -58,9 +58,9 @@ class KernelStagesBench extends SparkSpec {
     (ns.map(_ / 1e3 / queries.length), answers, coords)
   }
 
-  /** Per query and tree, what the kernel's γ cut selects from: the
-    * window's (bound bits, position) longs, triangular bounds without the
-    * Ptolemaic filter, else Ptolemaic ones (β does not cut here).
+  /** Per query and tree, what the kernel's cut to γ selects from: the
+    * window's (bound bits, position) longs, triangular bounds where β = γ,
+    * else Ptolemaic ones (β does not cut here).
     */
   private def cutInputs(model: HdIndexModel, queries: Array[Array[Float]], p: QueryParams): Array[Array[Long]] = {
     val cfg = model.cfg

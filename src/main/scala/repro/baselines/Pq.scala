@@ -25,11 +25,11 @@ object Pq extends AnnMethod {
   private final val Seed = 7L
 
   final class Index(
-      rotated: Array[Array[Float]],   // rotated data (rotation = identity for plain PQ)
-      rotation: Option[Array[Array[Float]]],
+      dim: Int,
+      rotation: Option[Array[Array[Float]]], // None for plain PQ
       codebooks: Array[Array[Array[Float]]], // M × K × subDim
       codes: Array[Array[Byte]],      // n × M
-      override val name: String) extends AnnIndex(Common.dimOf(rotated)) {
+      override val name: String) extends AnnIndex(dim) {
 
     private val mSub = codebooks.length
     private val subDims: Array[(Int, Int)] = Pq.subRanges(dim, mSub)
@@ -109,13 +109,12 @@ object Pq extends AnnMethod {
                  kCentroids: Int = 256, usePca: Boolean = true): Index = {
     val dim = localData.head.length
     val rotation = if (usePca) Some(pcaRotation(localData, dim)) else None
-    val rotated = rotation match {
-      case Some(r) => localData.map(v => rotate(r, v))
-      case None    => localData
-    }
+    // only the training sample is rotated on the driver
     val rng = new scala.util.Random(Seed)
-    val sample = Array.fill(math.min(TrainSample, rotated.length))(
-      rotated(rng.nextInt(rotated.length)))
+    val sample = Array.fill(math.min(TrainSample, localData.length)) {
+      val v = localData(rng.nextInt(localData.length))
+      rotation.map(r => rotate(r, v)).getOrElse(v)
+    }
     val ranges = subRanges(dim, MSub)
     val codebooks = ranges.map { case (from, until) =>
       Common.kmeans(sample.map(_.slice(from, until)), kCentroids, iters = 6, seed = Seed)
@@ -130,7 +129,7 @@ object Pq extends AnnMethod {
         Common.nearestCentroid(v.slice(from, until), bCb.value(s)).toByte
       }
     }
-    new Index(rotated, rotation, codebooks, codes, if (usePca) "opq" else "pq")
+    new Index(dim, rotation, codebooks, codes, if (usePca) "opq" else "pq")
   }
 
   override protected def buildChecked(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],

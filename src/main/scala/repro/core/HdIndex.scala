@@ -13,8 +13,10 @@ final case class HdIndexConfig(
   // domain would map every vector to one clamped cell
   require(java.lang.Double.isFinite(lo) && java.lang.Double.isFinite(hi) && lo < hi,
           s"need finite lo < hi, got lo=$lo hi=$hi")
-  // m = 0 is a reference-free index (Multicurves): every bound is 0
+  // m = 0 is a reference-free index (Multicurves)
   require(m >= 0, s"m must be non-negative, got $m")
+  // τ trees, one per non-empty dimension slice
+  RdbTree.sliceWidth(dim, tau)
 
   /** SSS's spread fraction f (Sec. 5.2: f = 0.3). */
   def f: Double = 0.3
@@ -129,7 +131,8 @@ object HdIndex {
     * needs its τ Hilbert keys and its m reference distances — the reference
     * set R is *not* recomputed (random references perform close to SSS,
     * Fig. 4, and updates are few relative to n). Each tree gets the new
-    * entry at its (key, id) position.
+    * entry at its (key, id) position: as id is larger than every id in a
+    * tree, just after the last key <= its key.
     *
     * @param id must be the next dense id (== current n)
     * @return a new model sharing cfg/references with the entry inserted
@@ -141,7 +144,8 @@ object HdIndex {
     val rd  = model.refs.map(r => Distance.l2(vec, r).toFloat)
     val trees = model.trees.map { tr =>
       val key = Hilbert(tr.width, cfg.omega).encodeVector(vec, tr.fromDim, cfg.lo, cfg.hi)
-      val lo  = HdQuery.lowerBound(tr.keys, tr.ids, key, id)
+      var lo  = HdQuery.lowerBound(tr.keys, key)
+      while (lo < tr.keys.length && Hilbert.compareKeys(tr.keys(lo), key) == 0) lo += 1
       val nk = new Array[Array[Byte]](tr.keys.length + 1)
       val ni = new Array[Int](tr.ids.length + 1)
       System.arraycopy(tr.keys, 0, nk, 0, lo); nk(lo) = key

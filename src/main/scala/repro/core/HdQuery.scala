@@ -1,24 +1,30 @@
 package repro.core
 
-/** Query-time parameters (Algo. 2). Paper recommendations (Sec. 5.2):
-  * triangular-only filtering with α/γ = 4; when Ptolemaic is enabled,
-  * α/β = 1 and β/γ = 4.
+/** Query-time parameters (Algo. 2): per tree, the α key-nearest entries
+  * are cut to β by the triangular bound (Eq. 5), then to γ by the
+  * Ptolemaic bound (Eq. 6). Each filter runs only where its cut cuts, so
+  * β = γ is triangular-only filtering and γ < β turns the Ptolemaic filter
+  * on. Paper recommendations (Sec. 5.2): triangular-only with α/γ = 4;
+  * with the Ptolemaic filter, α/β = 1 and β/γ = 4.
   */
-final case class QueryParams(k: Int, alpha: Int, beta: Int, gamma: Int,
-                             usePtolemaic: Boolean = false) {
+final case class QueryParams(k: Int, alpha: Int, beta: Int, gamma: Int) {
   require(k > 0, s"k must be positive, got $k")
   require(0 < gamma && gamma <= beta && beta <= alpha,
           s"need 0 < gamma <= beta <= alpha, got alpha=$alpha beta=$beta gamma=$gamma")
+
+  /** Whether the Ptolemaic filter can cut: γ < β. */
+  def usePtolemaic: Boolean = gamma < beta
 }
 
 object QueryParams {
   /** The paper's recommended ratios (Sec. 5.2) for the caller's α:
     * triangular only, β = γ = max(k, α/4); with the Ptolemaic filter,
-    * β = α and γ = max(k, α/4).
+    * β = α and γ = max(k, α/4), which cuts (γ < β) whenever α > max(k, α/4).
     */
-  def recommended(k: Int, alpha: Int, usePtolemaic: Boolean = false): QueryParams =
-    if (usePtolemaic) QueryParams(k, alpha, alpha, math.max(k, alpha / 4), usePtolemaic = true)
-    else QueryParams(k, alpha, math.max(k, alpha / 4), math.max(k, alpha / 4))
+  def recommended(k: Int, alpha: Int, usePtolemaic: Boolean = false): QueryParams = {
+    val gamma = math.max(k, alpha / 4)
+    QueryParams(k, alpha, if (usePtolemaic) alpha else gamma, gamma)
+  }
 }
 
 /** Per-query cost counters using the paper's disk model (Sec. 4.4.1):
@@ -34,14 +40,14 @@ final case class QueryStats(leafPages: Long, randomAccesses: Long, kappa: Int)
   * object's bounds are computed once per query and remembered by id: per
   * window, the unknown ones in column loops over the gathered refdists, a
   * reference or a reference pair at a time, bit for bit [[triBound]] and
-  * [[ptolemaicBound]]. The filters cut to β and γ by branch-free in-place
-  * selection over packed (bound, position) longs; with the Ptolemaic
-  * filter, the triangular pass runs only where β cuts, and triangular
-  * bounds rank only the entries tied at the γ cut, as Algo 2's order
-  * requires. The arrays are one workspace per thread, reused by its
-  * queries: memo slots carry the query's epoch, so a query clears nothing,
-  * and an id→slot table admits each id to the survivors once and counts
-  * the trees whose γ cut kept it. The exact rerank takes the survivors most
+  * [[ptolemaicBound]]. Each filter runs only where its cut cuts, by
+  * branch-free in-place selection over packed (bound, position) longs: the
+  * triangular one where β < w, the Ptolemaic one where γ < min(w, β), and
+  * there triangular bounds rank only the entries tied at the γ cut, as
+  * Algo 2's order requires. The arrays are one workspace per thread,
+  * reused by its queries: memo slots carry the query's epoch, so a query
+  * clears nothing, and an id→slot table admits each id to the survivors
+  * once and counts the trees whose γ cut kept it. The exact rerank takes the survivors most
   * trees kept first (the collision count of C2LSH, Gan et al., SIGMOD
   * 2012), four candidates at a time ([[Distance.l2sq4]]), gives up on a
   * group once all four are beyond the current k-th distance, and keeps the
@@ -104,20 +110,6 @@ object HdQuery {
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
       if (Hilbert.compareKeys(keys(mid), qkey) < 0) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
-
-  /** Index of the first entry >= (qkey, id) in (key, id) order, the order
-    * of a tree's aligned `keys` and `ids`: where a new entry is inserted.
-    */
-  def lowerBound(keys: Array[Array[Byte]], ids: Array[Int], qkey: Array[Byte], id: Int): Int = {
-    var lo = 0
-    var hi = keys.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      val c = Hilbert.compareKeys(keys(mid), qkey)
-      if (c < 0 || (c == 0 && ids(mid) < id)) lo = mid + 1 else hi = mid
     }
     lo
   }
@@ -235,9 +227,11 @@ object HdQuery {
     * counts the trees whose γ cut kept it. All three are cleared once when
     * the epoch would wrap.
     *
-    * Per window, a known bound is packed as it is read from its memo; the
-    * refdists of the ids whose bound is still unknown are gathered, widened
-    * to `Double`, into one column per reference. The bound is then computed
+    * Per window, each filter runs only where its cut cuts ([[filter]]), so
+    * a window that no cut shrinks reads no refdist. A known bound is packed
+    * as it is read from its memo; the refdists of the ids whose bound is
+    * still unknown are gathered, widened to `Double`, into one column per
+    * reference. The bound is then computed
     * a reference (Eq. 5) or a reference pair (Eq. 6) at a time, in one loop
     * over the gathered objects that C2 can vectorise (each column is its own
     * array: C2 does not vectorise two offsets into one array). Each lane
@@ -260,7 +254,6 @@ object HdQuery {
       */
     private[core] var rerankCoords = 0L
     // the running query's parameters and model tables
-    private var usePtolemaic = false
     private var beta      = 0
     private var gamma     = 0
     private var refMatrix: Array[Array[Double]] = null
@@ -268,7 +261,6 @@ object HdQuery {
     private var m         = 0
     private var dq        = new Array[Double](0)
     private var packed    = new Array[Long](0)
-    private var betaPos   = new Array[Int](0)
     // the distinct survivors' ids in admission order, and their hit counts
     private var survivors = new Array[Int](0)
     private var hits      = new Array[Int](0)
@@ -308,7 +300,6 @@ object HdQuery {
       epoch += 1
       stamp = epoch.toLong << 32
       rerankCoords = 0L
-      usePtolemaic = p.usePtolemaic
       beta = p.beta
       gamma = p.gamma
       refMatrix = model.refMatrix
@@ -320,7 +311,7 @@ object HdQuery {
       val w = math.min(p.alpha, model.n)
       if (w > packed.length || m > cols.length) {
         val cap = math.max(w, packed.length)
-        packed = new Array[Long](cap); betaPos = new Array[Int](cap)
+        packed = new Array[Long](cap)
         gathered = new Array[Int](cap); gatheredAt = new Array[Int](cap)
         best = new Array[Double](cap); cols = Array.ofDim[Double](math.max(m, cols.length), cap)
       }
@@ -332,7 +323,7 @@ object HdQuery {
       nSurvivors = 0
       triMemo = fit(triMemo, refdistsById.length)
       slotOf = fit(slotOf, refdistsById.length)
-      if (usePtolemaic) {
+      if (p.usePtolemaic) {
         ptoMemo = fit(ptoMemo, refdistsById.length)
         if (pairI.length < m * (m - 1) / 2) {
           pairI = new Array[Int](m * (m - 1) / 2); pairJ = new Array[Int](pairI.length)
@@ -368,17 +359,17 @@ object HdQuery {
     }
 
     /** Packs (bound, position) into packed(i) for the window entries at
-      * positions s + at(i) (s + i when `at` is null), i < n: at once when
-      * the bound is known in `memo`, else only the position, for
+      * positions s + pos, pos being packed(i)'s low word, i < n: at once
+      * when the bound is known in `memo`, else only the position, for
       * [[remember]] to complete. The unknown ones' refdists are gathered
       * into `cols`, their ids into `gathered` and their i into `gatheredAt`,
       * and their bounds zeroed; returns how many.
       */
-    private def gather(ids: Array[Int], s: Int, at: Array[Int], n: Int, memo: Array[Long]): Int = {
+    private def gather(ids: Array[Int], s: Int, n: Int, memo: Array[Long]): Int = {
       var c = 0
       var i = 0
       while (i < n) {
-        val pos = if (at == null) i else at(i)
+        val pos = packed(i).toInt
         val id = ids(s + pos)
         val slot = memo(id)
         if ((slot & HighWord) == stamp) packed(i) = pack(slot.toInt, pos)
@@ -410,11 +401,11 @@ object HdQuery {
       }
     }
 
-    /** Eq. 5 for the window [s, s + w)'s ids not yet known; packs the
-      * window's (triangular bound, position) into packed[0, w).
+    /** Eq. 5 for the ids of the window entries at packed[0, w)'s positions
+      * not yet known; packs their (triangular bound, position) there.
       */
     private def triangular(ids: Array[Int], s: Int, w: Int): Unit = {
-      val c = gather(ids, s, null, w, triMemo)
+      val c = gather(ids, s, w, triMemo)
       val bs = best
       var r = 0
       while (r < m) {
@@ -427,12 +418,12 @@ object HdQuery {
       remember(c, triMemo)
     }
 
-    /** Eq. 6 for the β set's ids (window positions s + betaPos[0, b)) not
-      * yet known; packs the β set's (Ptolemaic bound, position) into
-      * packed[0, b).
+    /** Eq. 6 for the ids of the β set (the window entries at packed[0, b)'s
+      * positions) not yet known; packs their (Ptolemaic bound, position)
+      * there.
       */
     private def ptolemaic(ids: Array[Int], s: Int, b: Int): Unit = {
-      val c = gather(ids, s, betaPos, b, ptoMemo)
+      val c = gather(ids, s, b, ptoMemo)
       val bs = best
       var k = 0
       while (k < nPairs) {
@@ -448,41 +439,31 @@ object HdQuery {
       remember(c, ptoMemo)
     }
 
-    /** Lines 5–10 for the window [s, e) of one tree: triangular filter,
-      * optional Ptolemaic filter, and the γ surviving ids kept.
-      *
-      * With the Ptolemaic filter, the triangular pass runs only where β
-      * cuts (β < w); otherwise the β set is the whole window. The γ cut
-      * selects by (Ptolemaic bound, position); Algo 2 ranks the β set by
+    /** Lines 5–10 for the window [s, e) of one tree: each filter runs
+      * only where its cut cuts. The triangular filter cuts the window to
+      * b = min(w, β) where β < w; else the β set is the whole window. The
+      * Ptolemaic filter cuts the β set to g = min(b, γ) where γ < b; its cut
+      * selects by (Ptolemaic bound, position), and Algo 2 ranks the β set by
       * triangular bound first, which only matters for ties: see
-      * [[breakTies]].
+      * [[breakTies]]. Each id of the g kept entries gets a hit, and those
+      * not yet kept by an earlier tree are added to the survivors.
       */
     def filter(ids: Array[Int], s: Int, e: Int): Unit = {
       val w = e - s
-      if (!usePtolemaic) {
-        triangular(ids, s, w)
-        keep(ids, s, w, math.min(w, gamma))
-      } else {
-        val b = math.min(w, beta)
-        var i = 0
-        if (b < w) {
-          triangular(ids, s, w)
-          selectSmallest(packed, 0, w, b)
-          while (i < b) { betaPos(i) = packed(i).toInt; i += 1 }
-        } else while (i < b) { betaPos(i) = i; i += 1 }
-        ptolemaic(ids, s, b)
-        keep(ids, s, b, math.min(b, gamma))
-      }
-    }
-
-    /** Selects the g smallest of packed[0, n) (position-packed entries of
-      * the window at s): a hit for each of their ids, and those not yet
-      * kept by an earlier tree added to the survivors.
-      */
-    private def keep(ids: Array[Int], s: Int, n: Int, g: Int): Unit = {
-      selectSmallest(packed, 0, n, g)
-      if (usePtolemaic) breakTies(ids, s, n, g)
       var i = 0
+      while (i < w) { packed(i) = i; i += 1 }
+      val b = math.min(w, beta)
+      if (b < w) {
+        triangular(ids, s, w)
+        selectSmallest(packed, 0, w, b)
+      }
+      val g = math.min(b, gamma)
+      if (g < b) {
+        ptolemaic(ids, s, b)
+        selectSmallest(packed, 0, b, g)
+        breakTies(ids, s, b, g)
+      }
+      i = 0
       while (i < g) {
         val id = ids(s + packed(i).toInt)
         val slot = slotOf(id)
@@ -497,7 +478,7 @@ object HdQuery {
       }
     }
 
-    /** packed[0, g) holds the g smallest of the β set packed[0, b) by
+    /** packed[0, g), g < b, holds the g smallest of the β set packed[0, b) by
       * (Ptolemaic bound, position). Algo 2 ranks the β set by
       * (triangular bound, position) before the γ cut, so entries tied with
       * the γ-th Ptolemaic bound go in that rank order. Only when such an
@@ -505,7 +486,6 @@ object HdQuery {
       * (triangular bound, position); they keep their Ptolemaic bound.
       */
     private def breakTies(ids: Array[Int], s: Int, b: Int, g: Int): Unit = {
-      if (g >= b) return
       var cut = 0L
       var i = 0
       while (i < g) { cut = math.max(cut, packed(i) & HighWord); i += 1 }

@@ -47,17 +47,25 @@ object RdbTree {
     h
   }
 
+  /** η = ceil(ν/τ), the width of every dimension slice but the last.
+    * Fails unless all τ slices are non-empty, (τ − 1)·η < ν: for some
+    * (ν, τ), such as (5, 4), the first τ − 1 slices already cover ν.
+    */
+  def sliceWidth(dim: Int, tau: Int): Int = {
+    require(tau >= 1 && tau <= dim, s"tau=$tau out of range for dim=$dim")
+    val eta = (dim + tau - 1) / tau
+    require((tau - 1) * eta < dim,
+            s"dim=$dim in tau=$tau slices of eta=$eta dimensions leaves the last slice empty")
+    eta
+  }
+
   /** Dimension partitioning P (Sec. 3.1): τ contiguous slices of width
-    * η = ceil(ν/τ); the last slice may be narrower.
+    * η = ceil(ν/τ); the last slice may be narrower, never empty.
     * Returns (from, width) per tree.
     */
   def partitions(dim: Int, tau: Int): Array[(Int, Int)] = {
-    require(tau >= 1 && tau <= dim, s"tau=$tau out of range for dim=$dim")
-    val eta = (dim + tau - 1) / tau
-    (0 until tau).toArray.map { t =>
-      val from = t * eta
-      (from, math.min(eta, dim - from))
-    }.filter(_._2 > 0)
+    val eta = sliceWidth(dim, tau)
+    Array.tabulate(tau)(t => (t * eta, math.min(eta, dim - t * eta)))
   }
 
   /** Where each tree's key starts in an [[ObjectEntry]]'s `keys`: τ + 1

@@ -10,12 +10,13 @@ import repro.baselines.LinearScan
   */
 class HdQueryPropertySpec extends SparkSpec {
 
-  /** Specs of 20–500 objects in 2–`maxDim` dimensions, 1–6 trees and 0–10
-    * references. Integer-valued specs on [0, 7] make many distances tie.
+  /** Specs of 20–500 objects in 2–`maxDim` dimensions, 1–6 trees (a τ
+    * whose slices are all non-empty) and 0–10 references. Integer-valued
+    * specs on [0, 7] make many distances tie.
     */
   private def cases(maxDim: Int): Gen[(VectorData.Spec, Int)] = for {
     dim      <- Gen.choose(2, maxDim)
-    tau      <- Gen.choose(1, math.min(dim, 6))
+    tau      <- Gen.oneOf((1 to math.min(dim, 6)).filter(t => (t - 1) * ((dim + t - 1) / t) < dim))
     n        <- Gen.choose(20, 500)
     omega    <- Gen.oneOf(4, 8, 16)
     ints     <- Gen.oneOf(false, true)
@@ -39,10 +40,11 @@ class HdQueryPropertySpec extends SparkSpec {
     forAllModels(12) { (model, local, spec, rng) =>
       val n = spec.n
       val exact = new LinearScan.Index(local)
-      for (q <- spec.queries; pto <- Seq(false, true)) {
+      // no cut cuts, so neither filter runs: two k per query
+      for (q <- spec.queries; _ <- 1 to 2) {
         val k = 1 + rng.nextInt(n + 5)
-        val got = HdQuery.searchLocal(model, q.vec, QueryParams(k, n, n, n, pto), id => local(id.toInt))._1
-        assert(got.toSeq == exact.search(q.vec, k).toSeq, s"k=$k ptolemaic=$pto")
+        val got = HdQuery.searchLocal(model, q.vec, QueryParams(k, n, n, n), id => local(id.toInt))._1
+        assert(got.toSeq == exact.search(q.vec, k).toSeq, s"k=$k")
       }
     }
   }
@@ -57,7 +59,8 @@ class HdQueryPropertySpec extends SparkSpec {
         val g2    = g1 + rng.nextInt(beta - g1 + 1)
         val k     = 1 + rng.nextInt(n)
         def search(gamma: Int) =
-          HdQuery.searchLocal(model, q.vec, QueryParams(k, alpha, beta, gamma, pto), id => local(id.toInt))._1
+          HdQuery.searchLocal(model, q.vec, QueryParams(k, alpha, if (pto) beta else gamma, gamma),
+                              id => local(id.toInt))._1
         val (small, large) = (search(g1), search(g2))
         val clue = s"k=$k alpha=$alpha beta=$beta gamma=$g1 then $g2 ptolemaic=$pto"
         assert(large.length >= small.length, clue)
@@ -78,7 +81,8 @@ class HdQueryPropertySpec extends SparkSpec {
         val gamma = 1 + rng.nextInt(beta)
         val k     = 1 + rng.nextInt(n)
         def search(k: Int) =
-          HdQuery.searchLocal(model, q.vec, QueryParams(k, alpha, beta, gamma, pto), id => local(id.toInt))
+          HdQuery.searchLocal(model, q.vec, QueryParams(k, alpha, if (pto) beta else gamma, gamma),
+                              id => local(id.toInt))
         // with k = n the top k holds every live candidate: none is given up
         val (all, allStats) = search(n)
         val (ans, stats) = search(k)

@@ -16,14 +16,6 @@ class HdQuerySpec extends SparkSpec {
     assert(HdQuery.lowerBound(keys, key1d(3)) == 1)
     assert(HdQuery.lowerBound(keys, key1d(4)) == 2)
     assert(HdQuery.lowerBound(keys, key1d(9)) == 4)
-    // (key, id) order: equal keys are ordered by id
-    val dupKeys = Array(1L, 3L, 3L, 3L, 7L).map(key1d)
-    val ids     = Array(0, 2, 5, 9, 1)
-    assert(HdQuery.lowerBound(dupKeys, ids, key1d(0), 4) == 0)
-    assert(HdQuery.lowerBound(dupKeys, ids, key1d(3), 0) == 1)
-    assert(HdQuery.lowerBound(dupKeys, ids, key1d(3), 4) == 2)
-    assert(HdQuery.lowerBound(dupKeys, ids, key1d(3), 10) == 4)
-    assert(HdQuery.lowerBound(dupKeys, ids, key1d(9), 0) == 5)
   }
 
   test("selectWindow picks the numerically nearest alpha keys") {
@@ -205,8 +197,8 @@ class HdQuerySpec extends SparkSpec {
   }
 
   test("Ptolemaic filtering never hurts MAP at aggressive reduction (Sec. 5.2.5)") {
-    val aggressiveTri = QueryParams(10, 256, 32, 32, usePtolemaic = false)
-    val aggressivePto = QueryParams(10, 256, 256, 32, usePtolemaic = true)
+    val aggressiveTri = QueryParams(10, 256, 32, 32)
+    val aggressivePto = QueryParams(10, 256, 256, 32)
     def mapOf(p: QueryParams): Double = Metrics.mapAtK(
       queries.indices.map { qi =>
         val (ans, _) = HdQuery.searchLocal(model, queries(qi).vec, p, TestFixtures.getVec)
@@ -239,8 +231,39 @@ class HdQuerySpec extends SparkSpec {
     intercept[IllegalArgumentException](QueryParams(0, 64, 16, 16))
     intercept[IllegalArgumentException](QueryParams(10, 64, 16, 0))  // gamma = 0
     intercept[IllegalArgumentException](QueryParams(10, 64, 16, 32)) // gamma > beta
-    intercept[IllegalArgumentException](QueryParams(10, 64, 128, 32, usePtolemaic = true)) // beta > alpha
+    intercept[IllegalArgumentException](QueryParams(10, 64, 128, 32)) // beta > alpha
     intercept[IllegalArgumentException](params.copy(k = -1))
+  }
+
+  test("the Ptolemaic filter is on exactly when gamma < beta; recommended keeps the paper's ratios") {
+    for ((p, pto) <- Seq(QueryParams(10, 256, 64, 64) -> false, QueryParams(10, 256, 256, 64) -> true,
+                         QueryParams(10, 64, 64, 64) -> false, QueryParams(10, 256, 64, 16) -> true,
+                         QueryParams(1, 2, 2, 1) -> true))
+      assert(p.usePtolemaic == pto && pto == (p.gamma < p.beta), p)
+    def abg(p: QueryParams) = (p.k, p.alpha, p.beta, p.gamma)
+    // triangular: beta = gamma = max(k, alpha / 4); Ptolemaic: beta = alpha
+    assert(abg(QueryParams.recommended(10, 512)) == (10, 512, 128, 128))
+    assert(abg(QueryParams.recommended(10, 512, usePtolemaic = true)) == (10, 512, 512, 128))
+    assert(abg(QueryParams.recommended(100, 800)) == (100, 800, 200, 200))
+    assert(abg(QueryParams.recommended(100, 1000, usePtolemaic = true)) == (100, 1000, 1000, 250))
+    assert(abg(QueryParams.recommended(100, 256)) == (100, 256, 100, 100))
+    assert(abg(QueryParams.recommended(100, 256, usePtolemaic = true)) == (100, 256, 256, 100))
+    assert(abg(QueryParams.recommended(100, 100, usePtolemaic = true)) == (100, 100, 100, 100))
+    assert(!QueryParams.recommended(10, 512).usePtolemaic)
+    assert(QueryParams.recommended(10, 512, usePtolemaic = true).usePtolemaic)
+  }
+
+  test("with alpha = beta = gamma no bound is computed: a model without refdists answers as the real one") {
+    // the same trees and references through the public constructor, as
+    // withRefs builds a model, but every refdist row null
+    val noRefdists = new HdIndexModel(model.cfg, model.refIds, model.refs, model.refMatrix,
+                                      model.trees, new Array[Array[Float]](model.n))
+    for (alpha <- Seq(1, 64, 512, model.n + 5); qr <- queries) {
+      val p = QueryParams(10, alpha, alpha, alpha)
+      val (want, wantStats) = HdQuery.searchLocal(model, qr.vec, p, TestFixtures.getVec)
+      val (got, stats) = HdQuery.searchLocal(noRefdists, qr.vec, p, TestFixtures.getVec)
+      assert(got.toSeq == want.toSeq && stats == wantStats, s"query ${qr.id} under $p")
+    }
   }
 
   test("searchLocal rejects a query of the wrong dimension, with NaN or with Inf") {
@@ -273,8 +296,9 @@ class HdQuerySpec extends SparkSpec {
 
   /** [[HdQuery.searchLocal]] as it was before its primitive kernel: greedy
     * window, full sort of the packed (bound, position) longs, scalar bounds,
-    * a `mutable.Set` union and a full sort by (distance, id). The kernel
-    * must equal it. Also returns the number of trees whose γ cut split a
+    * a `mutable.Set` union and a full sort by (distance, id). Both cuts run
+    * in every setting, so where a cut keeps everything the kernel, which
+    * skips it, must still equal the reference. Also returns the number of trees whose γ cut split a
     * tie of Ptolemaic bounds and kept other entries than a cut by
     * (Ptolemaic bound, window position) would: there the triangular rank
     * decided which of the tied entries survived.
@@ -301,17 +325,13 @@ class HdQuerySpec extends SparkSpec {
       val rd: Int => Array[Float] = i => m.refdistsById(ids(i).toInt)
       val n = ids.length
       val byTri = orderByBound(n, i => HdQuery.triBound(dq, rd(i)))
-      cands ++= (
-        if (!p.usePtolemaic) byTri.take(math.min(n, p.gamma)).map(pk => ids(pk.toInt))
-        else {
-          val beta = byTri.take(math.min(n, p.beta)).map(_.toInt)
-          val byPto = orderByBound(beta.length, j => HdQuery.ptolemaicBound(dq, rd(beta(j)), m.refMatrix))
-          val g = math.min(beta.length, p.gamma)
-          val byPos = byPto.map(pk => (pk & 0xFFFFFFFF00000000L) | beta(pk.toInt)).sorted
-          if (byPto.take(g).map(pk => beta(pk.toInt)).toSet != byPos.take(g).map(_.toInt).toSet)
-            tiesDecided += 1
-          byPto.take(g).map(pk => ids(beta(pk.toInt)))
-        })
+      val beta = byTri.take(math.min(n, p.beta)).map(_.toInt)
+      val byPto = orderByBound(beta.length, j => HdQuery.ptolemaicBound(dq, rd(beta(j)), m.refMatrix))
+      val g = math.min(beta.length, p.gamma)
+      val byPos = byPto.map(pk => (pk & 0xFFFFFFFF00000000L) | beta(pk.toInt)).sorted
+      if (byPto.take(g).map(pk => beta(pk.toInt)).toSet != byPos.take(g).map(_.toInt).toSet)
+        tiesDecided += 1
+      cands ++= byPto.take(g).map(pk => ids(beta(pk.toInt)))
       pages += m.treeHeight(t) + (e - s + m.leafOrder(t) - 1) / m.leafOrder(t)
     }
     cands --= m.deleted
@@ -345,15 +365,14 @@ class HdQuerySpec extends SparkSpec {
     val n = model.n.toInt
     val settings = Seq(
       params,
-      QueryParams(10, 256, 256, 32, usePtolemaic = true),
-      QueryParams(10, 256, 64, 16, usePtolemaic = true),
-      QueryParams(10, 64, 64, 64),                      // gamma = window size
-      QueryParams(10, 64, 64, 64, usePtolemaic = true),
-      QueryParams(100, 64, 32, 8, usePtolemaic = true), // fewer candidates than k
-      QueryParams(10, n + 5, n + 5, 100),               // alpha >= n
-      QueryParams(10, n + 5, 300, 100, usePtolemaic = true),
-      QueryParams(1, 256, 256, 64),                     // k = 1: most of the rerank is beyond worst
-      QueryParams(5, 256, 256, 64, usePtolemaic = true))
+      QueryParams(10, 256, 256, 32),
+      QueryParams(10, 256, 64, 16),
+      QueryParams(10, 64, 64, 64),                      // gamma = window size: no cut
+      QueryParams(100, 64, 32, 8),                      // fewer candidates than k
+      QueryParams(10, n + 5, 100, 100),                 // alpha >= n
+      QueryParams(10, n + 5, 300, 100),
+      QueryParams(1, 256, 64, 64),                      // k = 1: most of the rerank is beyond worst
+      QueryParams(5, 256, 256, 64))
     // a private copy of the model, so marks don't leak into shared fixtures
     val withDeletes = new HdIndexModel(model.cfg, model.refIds, model.refs, model.refMatrix,
                                        model.trees, model.refdistsById)
@@ -400,7 +419,7 @@ class HdQuerySpec extends SparkSpec {
   }
 
   test("answers do not depend on the number of query threads") {
-    val ps = Seq(params, QueryParams(10, 256, 256, 64, usePtolemaic = true))
+    val ps = Seq(params, QueryParams(10, 256, 256, 64))
     def all(): Seq[Seq[(Long, Double)]] =
       for (p <- ps; qr <- queries) yield HdQuery.searchLocal(model, qr.vec, p, TestFixtures.getVec)._1.toSeq
     val single = all()
@@ -426,7 +445,7 @@ class HdQuerySpec extends SparkSpec {
   private lazy val bigModel = HdIndex.build(spark, big.data(spark), bigLocal, HdIndex.configFor(big))
   private lazy val bigGetVec: Long => Array[Float] = id => bigLocal(id.toInt)
 
-  private val ptoParams = QueryParams(10, 256, 256, 64, usePtolemaic = true)
+  private val ptoParams = QueryParams(10, 256, 256, 64)
 
   /** Bytes the calling thread allocates per query of every tiny query on m
     * under p, over 10 passes, and the mean κ.
@@ -473,7 +492,7 @@ class HdQuerySpec extends SparkSpec {
       (bigModel, bigGetVec, params), (bigModel, bigGetVec, ptoParams),
       (curves, TestFixtures.getVec _, QueryParams(10, 256, 256, 256)), (oneRef, TestFixtures.getVec _, ptoParams),
       (tau2, TestFixtures.getVec _, params), (tau2, TestFixtures.getVec _, ptoParams),
-      (grown, grownGetVec, params), (grown, grownGetVec, QueryParams(10, 128, 64, 16, usePtolemaic = true)),
+      (grown, grownGetVec, params), (grown, grownGetVec, QueryParams(10, 128, 64, 16)),
       (wideModel, wideGetVec, params), (wideModel, wideGetVec, ptoParams))
     assert(Set(curves.refs.length, oneRef.refs.length, model.refs.length).size == 3)
     assert(tau2.trees.length != model.trees.length && grown.n == model.n + queries.length)
@@ -564,7 +583,7 @@ class HdQuerySpec extends SparkSpec {
   test("answers equal the pinned golden digest (triangular and Ptolemaic)") {
     assert(answerDigest(params) ==
       "47bcdcb6356b5600c4caa65ace30dd65bd4340132cf4a2767b7ae0bc521a8abc")
-    assert(answerDigest(QueryParams(10, 256, 256, 64, usePtolemaic = true)) ==
+    assert(answerDigest(QueryParams(10, 256, 256, 64)) ==
       "97e248be20d4ee2897c299b4df6ba4154d54241cda19fba81f3d8c991130dcf8")
   }
 

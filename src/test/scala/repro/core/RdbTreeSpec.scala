@@ -81,6 +81,21 @@ class RdbTreeSpec extends SparkSpec {
       assertThrows[IllegalArgumentException](cfg.copy(lo = lo, hi = hi))
   }
 
+  test("HdIndexConfig rejects a tau that leaves the last dimension slice empty") {
+    // (5, 4): slices of 2 dims cover 5 in 3; (10, 6): slices of 2 cover 10 in 5
+    for ((dim, tau, eta) <- Seq((5, 4, 2), (10, 6, 2), (7, 6, 2))) {
+      val e = intercept[IllegalArgumentException](
+        HdIndexConfig(dim = dim, tau = tau, omega = 8, lo = 0.0, hi = 1.0))
+      assert(e.getMessage.contains(s"dim=$dim in tau=$tau slices of eta=$eta dimensions"), e.getMessage)
+      assertThrows[IllegalArgumentException](RdbTree.partitions(dim, tau))
+    }
+    // every registry spec has tau non-empty slices, Glove's 7 x 13 + 9 too
+    for (spec <- VectorData.all :+ VectorData.tiny) {
+      val cfg = HdIndex.configFor(spec)
+      assert(RdbTree.partitions(cfg.dim, cfg.tau).length == cfg.tau, spec.name)
+    }
+  }
+
   // --- distributed build --------------------------------------------------
 
   lazy val spec: VectorData.Spec = TestFixtures.tiny

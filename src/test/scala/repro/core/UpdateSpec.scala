@@ -30,6 +30,23 @@ class UpdateSpec extends SparkSpec {
     }
   }
 
+  test("inserted copies of an object go after its equal key, in (key, id) order") {
+    val m0 = freshModel()
+    val v  = local(42).clone()
+    // two copies: the second's key equals two keys already in each tree
+    val m2 = HdIndex.insert(HdIndex.insert(m0, m0.n, v), m0.n + 1, v)
+    m2.trees.zip(m0.trees).foreach { case (tr, tr0) =>
+      for (i <- 1 until tr.keys.length) {
+        val c = Hilbert.compareKeys(tr.keys(i - 1), tr.keys(i))
+        assert(c < 0 || (c == 0 && tr.ids(i - 1) < tr.ids(i)), s"tree ${tr.treeId}, entry $i")
+      }
+      val key = tr.keys(tr.ids.indexOf(42))
+      val equal = tr.keys.indices.filter(i => Hilbert.compareKeys(tr.keys(i), key) == 0)
+      assert(equal.map(tr.ids(_)).takeRight(2) == Seq(m0.n, m0.n + 1), s"tree ${tr.treeId}")
+      assert(tr.ids.filter(_ < m0.n).sameElements(tr0.ids), s"tree ${tr.treeId}")
+    }
+  }
+
   test("inserted object's reference distances are stored correctly") {
     val m0 = freshModel()
     val v  = spec.point(4242L)
