@@ -39,7 +39,7 @@ class KernelStagesBench extends SparkSpec {
       while (t < model.trees.length) {
         val tree = model.trees(t)
         val a = System.nanoTime()
-        val qkey = Hilbert(tree.width, cfg.omega).encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
+        val qkey = tree.curve.encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
         val b = System.nanoTime()
         val (s, e) = HdQuery.selectWindow(tree.keys, qkey, p.alpha)
         val c = System.nanoTime()
@@ -67,7 +67,7 @@ class KernelStagesBench extends SparkSpec {
     require(!p.usePtolemaic || p.beta >= math.min(p.alpha, model.n), "a β cut is not replayed")
     for (q <- queries; tree <- model.trees) yield {
       val dq = model.refs.map(r => Distance.l2(q, r))
-      val qkey = Hilbert(tree.width, cfg.omega).encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
+      val qkey = tree.curve.encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
       val (s, e) = HdQuery.selectWindow(tree.keys, qkey, p.alpha)
       Array.tabulate(e - s) { i =>
         val rd = model.refdistsById(tree.ids(s + i))

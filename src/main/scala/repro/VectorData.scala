@@ -41,11 +41,6 @@ object VectorData {
       nClusters: Int, stdFrac: Double, nQueries: Int,
       omega: Int, tau: Int, seed: Long) {
 
-    /** η = ceil(ν/τ): dimensions handled by each Hilbert curve; the last
-      * partition may be narrower (e.g. Glove: 7×13 + 9).
-      */
-    def eta: Int = (dim + tau - 1) / tau
-
     private def mix(a: Long, b: Long): Long = {
       // splitmix64 finalizer — decorrelates nearby (seed, id) pairs, which
       // java.util.Random alone does not.

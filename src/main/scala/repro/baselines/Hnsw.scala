@@ -19,14 +19,18 @@ import repro.core.Distance
 object Hnsw extends AnnMethod {
   /** Seed of the nodes' random levels. */
   private final val Seed = 7L
+  /** M: links per node and layer (2M on layer 0). */
+  private final val M = 16
+  /** Beam width of a build's search per layer. */
+  private final val EfConstruction = 200
+  /** Beam width of a query's search on layer 0 (at least k). */
+  private final val Ef = 100
 
-  final class Index(
-      data: Array[Array[Float]],
-      m: Int, efConstruction: Int, ef: Int) extends AnnIndex(Common.dimOf(data)) {
+  final class Index(data: Array[Array[Float]]) extends AnnIndex(Common.dimOf(data)) {
 
     override def name = "hnsw"
-    private val mMax0 = 2 * m
-    private val mL = 1.0 / math.log(m.toDouble)
+    private val mMax0 = 2 * M
+    private val mL = 1.0 / math.log(M.toDouble)
     private val rng = new java.util.Random(Seed)
 
     // layers(l)(node) = neighbor list; node levels
@@ -108,9 +112,9 @@ object Hnsw extends AnnMethod {
       }
       lc = math.min(level, maxLevel)
       while (lc >= 0) {
-        val w = searchLayer(q, ep, efConstruction, lc)
-        val cap = if (lc == 0) mMax0 else m
-        val selected = w.take(m).map(_._2)
+        val w = searchLayer(q, ep, EfConstruction, lc)
+        val cap = if (lc == 0) mMax0 else M
+        val selected = w.take(M).map(_._2)
         selected.foreach { nb =>
           neighbors(lc)(node) += nb
           neighbors(lc)(nb) += node
@@ -135,7 +139,7 @@ object Hnsw extends AnnMethod {
         ep = searchLayer(q, ep, 1, lc).head._2
         lc -= 1
       }
-      searchLayer(q, ep, math.max(ef, k), 0)
+      searchLayer(q, ep, math.max(Ef, k), 0)
         .take(k).map { case (dd, nd) => (nd.toLong, dd) }
         .sortBy { case (id, dd) => (dd, id) }
     }
@@ -166,9 +170,8 @@ object Hnsw extends AnnMethod {
     def add(i: Int): Boolean = marks(i) != epoch && { marks(i) = epoch; true }
   }
 
-  def buildIndex(localData: Array[Array[Float]], m: Int = 16, efConstruction: Int = 200,
-                 ef: Int = 100): Index = {
-    val idx = new Index(localData, m, efConstruction, ef)
+  def buildIndex(localData: Array[Array[Float]]): Index = {
+    val idx = new Index(localData)
     idx.buildAll()
     idx
   }

@@ -20,6 +20,8 @@ object IDistance extends AnnMethod {
   private final val R0 = 0.01
   private final val Dr = 0.01
   private final val Seed = 7L
+  /** Pivots: k-means centroids of a sample, each object keyed by its nearest. */
+  private final val NPivots = 16
 
   final class Index(
       data: Array[Array[Float]],
@@ -46,6 +48,10 @@ object IDistance extends AnnMethod {
       }
       val best = new Distance.TopK(k)
       var r = r0
+      // Δr, doubled after each round that scans nothing: when every object
+      // sits on its pivot (n ≤ 16 distinct objects), the data scale and Δr
+      // are ~0 and a constant step would take ~d(q, pivot)/Δr rounds
+      var step = dr
       var done = false
       while (!done) {
         var progressed = false
@@ -66,7 +72,11 @@ object IDistance extends AnnMethod {
         val exhausted = (0 until pivots.length).forall(i => lo(i) == 0 && hi(i) == byPivot(i)._2.length)
         // exact once the k-th distance is within r (worst is +∞ until k are held)
         if (best.worst <= r || exhausted) done = true
-        else { r += dr; if (!progressed && r > 1e18) done = true }
+        else {
+          step = if (progressed) dr else 2 * step
+          r += step
+          if (!progressed && r > 1e18) done = true
+        }
       }
       best.result()
     }
@@ -76,13 +86,12 @@ object IDistance extends AnnMethod {
       data.length.toLong * 16 + pivots.length.toLong * pivots.headOption.map(_.length * 4L).getOrElse(0L)
   }
 
-  def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
-                 nPivots: Int = 16): Index = {
+  def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]]): Index = {
     val sample = {
       val rng = new scala.util.Random(Seed)
       Array.fill(math.min(2000, localData.length))(localData(rng.nextInt(localData.length)))
     }
-    val pivots = Common.kmeans(sample, nPivots, iters = 8, seed = Seed)
+    val pivots = Common.kmeans(sample, NPivots, iters = 8, seed = Seed)
     val bPivots = spark.sparkContext.broadcast(pivots)
 
     // per object: nearest pivot and the distance to it

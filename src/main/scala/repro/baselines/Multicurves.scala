@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.{VecRow, VectorData}
-import repro.core.{HdAnnIndex, HdIndex, HdIndexModel, Hilbert, QueryParams}
+import repro.core.{HdAnnIndex, HdIndex, HdIndexModel, QueryParams}
 
 /** Multicurves (Valle et al. [67]) — the space-filling-curve baseline.
   *
@@ -23,8 +23,7 @@ object Multicurves extends AnnMethod {
     override def indexBytes: Long = {
       // leaves store key + full vector (4ν) + pointer per entry; a narrower
       // last slice has a shorter key
-      val cfg = model.cfg
-      model.trees.map(t => model.n.toLong * (Hilbert(t.width, cfg.omega).keyBytes + 4L * cfg.dim + 8L)).sum
+      model.trees.map(t => model.n.toLong * (t.curve.keyBytes + 4L * model.cfg.dim + 8L)).sum
     }
   }
 

@@ -22,6 +22,12 @@ object Pq extends AnnMethod {
   private final val MSub = 2
   /** Objects sampled to train the codebooks. */
   private final val TrainSample = 4000
+  /** Centroids K per subspace codebook: one code byte each. */
+  private final val KCentroids = 256
+  /** The largest ν that gets OPQ's PCA rotation; above it (enron's
+    * ν = 1369) the index is plain PQ.
+    */
+  private final val MaxPcaDim = 600
   private final val Seed = 7L
 
   final class Index(
@@ -105,10 +111,10 @@ object Pq extends AnnMethod {
     order.map(c => Array.tabulate(dim)(r => es.eigenvectors(r, c).toFloat))
   }
 
-  def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
-                 kCentroids: Int = 256, usePca: Boolean = true): Index = {
+  /** OPQ for ν ≤ 600, else plain PQ. */
+  def buildIndex(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]]): Index = {
     val dim = localData.head.length
-    val rotation = if (usePca) Some(pcaRotation(localData, dim)) else None
+    val rotation = if (dim <= MaxPcaDim) Some(pcaRotation(localData, dim)) else None
     // only the training sample is rotated on the driver
     val rng = new scala.util.Random(Seed)
     val sample = Array.fill(math.min(TrainSample, localData.length)) {
@@ -117,7 +123,7 @@ object Pq extends AnnMethod {
     }
     val ranges = subRanges(dim, MSub)
     val codebooks = ranges.map { case (from, until) =>
-      Common.kmeans(sample.map(_.slice(from, until)), kCentroids, iters = 6, seed = Seed)
+      Common.kmeans(sample.map(_.slice(from, until)), KCentroids, iters = 6, seed = Seed)
     }
     // Distributed encoding: nearest centroid per subspace for every object.
     val bCb = spark.sparkContext.broadcast(codebooks)
@@ -129,10 +135,10 @@ object Pq extends AnnMethod {
         Common.nearestCentroid(v.slice(from, until), bCb.value(s)).toByte
       }
     }
-    new Index(dim, rotation, codebooks, codes, if (usePca) "opq" else "pq")
+    new Index(dim, rotation, codebooks, codes, if (rotation.isDefined) "opq" else "pq")
   }
 
   override protected def buildChecked(spark: SparkSession, spec: VectorData.Spec, data: Dataset[VecRow],
                                       localData: Array[Array[Float]]): AnnIndex =
-    buildIndex(spark, data, localData, usePca = spec.dim <= 600)
+    buildIndex(spark, data, localData)
 }

@@ -26,14 +26,6 @@ final case class HdIndexConfig(
   def seed: Long = 7
 }
 
-/** Driver-side view of one RDB-tree: entries in global Hilbert-key order.
-  * `keys`, `ids` (in [0, n)) are aligned; reference distances are looked up
-  * by id in the model's shared table (logically replicated per leaf, as the
-  * size accounting's per-leaf layout assumes).
-  */
-final case class LocalTree(treeId: Int, fromDim: Int, width: Int,
-                           keys: Array[Array[Byte]], ids: Array[Int])
-
 /** The built HD-Index: τ RDB-trees + reference objects + the pre-computed
   * reference-to-reference distance matrix (needed by the Ptolemaic filter).
   */
@@ -52,27 +44,10 @@ final class HdIndexModel(
   /** The number of objects n: one refdist row each, ids 0 until n. */
   def n: Int = refdistsById.length
 
-  /** Leaf order Ω of tree t (trees can differ when the last dimension slice
-    * is narrower).
+  /** Index size in bytes using the paper's page model (Sec. 3.5.2): each
+    * tree's leaf and internal pages.
     */
-  def leafOrder(t: Int): Int = RdbTree.leafOrder(trees(t).width, cfg.omega, cfg.m, cfg.pageSize)
-
-  def treeHeight(t: Int): Int = RdbTree.height(n, trees(t).width, cfg.omega, cfg.m, cfg.pageSize)
-
-  /** Index size estimate in bytes using the paper's page model: leaf pages
-    * of each tree (entries of η·ω/8 + 4m + 8 bytes packed Ω per B-byte page)
-    * plus internal pages.
-    */
-  def indexBytes: Long =
-    trees.indices.map { t =>
-      val om     = leafOrder(t)
-      val leaves = (n.toLong + om - 1) / om
-      val theta  = RdbTree.internalFanout(trees(t).width, cfg.omega, cfg.pageSize)
-      var pages  = leaves
-      var level  = leaves
-      while (level > 1) { level = (level + theta - 1) / theta; pages += level }
-      pages * cfg.pageSize.toLong
-    }.sum
+  def indexBytes: Long = trees.iterator.map(_.bytes(cfg)).sum
 }
 
 /** HD-Index construction (Algo. 1): choose references, compute reference
@@ -88,13 +63,18 @@ object HdIndex {
     * must equal the distributed content; a wrong-dimension or non-finite
     * object in it is rejected before any work. One map-only
     * [[RdbTree.build]] job computes every object's τ keys and m refdists;
-    * the driver collects it, checks that its ids are exactly 0 until n,
-    * and sorts each tree by (key, id). With m = 0 the model has no
+    * the driver collects it, checks that its ids are exactly 0 until n and
+    * that each object's vector hashes as in `localData`, and sorts each tree
+    * by (key, id) ([[RdbTree.trees]]). With m = 0 the model has no
     * references, a 0×0 `refMatrix` and empty refdists: Multicurves' index.
     */
   def build(spark: SparkSession, data: Dataset[VecRow], localData: Array[Array[Float]],
             cfg: HdIndexConfig): HdIndexModel = {
-    for (id <- localData.indices) HdQuery.checkQuery(localData(id), cfg.dim, s"object $id")
+    val n = localData.length
+    val checksums = Array.tabulate(n) { id =>
+      HdQuery.checkQuery(localData(id), cfg.dim, s"object $id")
+      java.util.Arrays.hashCode(localData(id))
+    }
 
     val refIds = ReferenceSelection.sss(localData, cfg.m, cfg.f, cfg.seed)
     val refs = refIds.map(localData(_))
@@ -102,24 +82,12 @@ object HdIndex {
       (i, j) => Distance.l2(refs(i), refs(j))
     }
 
-    val n = localData.length
     val byId = repro.baselines.Common.byId(n,
       RdbTree.build(spark, data, refs, cfg.dim, cfg.tau, cfg.omega, cfg.lo, cfg.hi).collect().iterator.map(e => e.id -> e))
+    for (id <- 0 until n)
+      require(byId(id).checksum == checksums(id), s"object $id of data differs from localData")
 
-    // Each tree is its own (key, id) sort of the ids: a total order, so the
-    // trees do not depend on Spark's partitioning. Keys and refdists are
-    // copied into fresh arrays, so the model keeps no per-object buffer alive.
-    val offs  = RdbTree.keyOffsets(cfg.dim, cfg.tau, cfg.omega)
-    val trees = RdbTree.partitions(cfg.dim, cfg.tau).zipWithIndex.map { case ((from, width), t) =>
-      val (start, end) = (offs(t), offs(t + 1))
-      val sorted = Array.tabulate[Integer](n)(Integer.valueOf)
-      java.util.Arrays.sort(sorted, (a: Integer, b: Integer) => {
-        // unsigned lexicographic, as Hilbert.compareKeys
-        val c = java.util.Arrays.compareUnsigned(byId(a).keys, start, end, byId(b).keys, start, end)
-        if (c != 0) c else a.compareTo(b)
-      })
-      LocalTree(t, from, width, sorted.map(id => java.util.Arrays.copyOfRange(byId(id).keys, start, end)), sorted.map(_.intValue))
-    }
+    val trees = RdbTree.trees(byId, cfg)
     // refdists are allocated in one tree's key order: objects near in space
     // get refdists near in memory, as a window's gather reads them
     val refdistsById = new Array[Array[Float]](n)
@@ -130,9 +98,8 @@ object HdIndex {
   /** Sec. 3.6 insertion: B+-trees are update-friendly, so a new object only
     * needs its τ Hilbert keys and its m reference distances — the reference
     * set R is *not* recomputed (random references perform close to SSS,
-    * Fig. 4, and updates are few relative to n). Each tree gets the new
-    * entry at its (key, id) position: as id is larger than every id in a
-    * tree, just after the last key <= its key.
+    * Fig. 4, and updates are few relative to n). Each tree inserts the new
+    * entry at its (key, id) position ([[LocalTree.inserted]]).
     *
     * @param id must be the next dense id (== current n)
     * @return a new model sharing cfg/references with the entry inserted
@@ -142,18 +109,7 @@ object HdIndex {
     val cfg = model.cfg
     HdQuery.checkQuery(vec, cfg.dim, "inserted vector")
     val rd  = model.refs.map(r => Distance.l2(vec, r).toFloat)
-    val trees = model.trees.map { tr =>
-      val key = Hilbert(tr.width, cfg.omega).encodeVector(vec, tr.fromDim, cfg.lo, cfg.hi)
-      var lo  = HdQuery.lowerBound(tr.keys, key)
-      while (lo < tr.keys.length && Hilbert.compareKeys(tr.keys(lo), key) == 0) lo += 1
-      val nk = new Array[Array[Byte]](tr.keys.length + 1)
-      val ni = new Array[Int](tr.ids.length + 1)
-      System.arraycopy(tr.keys, 0, nk, 0, lo); nk(lo) = key
-      System.arraycopy(tr.keys, lo, nk, lo + 1, tr.keys.length - lo)
-      System.arraycopy(tr.ids, 0, ni, 0, lo); ni(lo) = id
-      System.arraycopy(tr.ids, lo, ni, lo + 1, tr.ids.length - lo)
-      tr.copy(keys = nk, ids = ni)
-    }
+    val trees = model.trees.map(tr => tr.inserted(tr.curve.encodeVector(vec, tr.fromDim, cfg.lo, cfg.hi), id))
     val nrd = java.util.Arrays.copyOf(model.refdistsById, model.refdistsById.length + 1)
     nrd(id) = rd
     val m2 = new HdIndexModel(cfg, model.refIds, model.refs, model.refMatrix, trees, nrd)

@@ -34,9 +34,9 @@ object QueryParams {
 final case class QueryStats(leafPages: Long, randomAccesses: Long, kappa: Int)
 
 /** kANN querying over a built HD-Index (Algo. 2). [[searchLocal]] walks
-  * the driver-side sorted trees. Per tree, it chooses the α-window by binary
-  * search ([[selectWindow]]: O(log n + log α) key comparisons). The rest of
-  * a query runs in primitive arrays reused across the τ trees. Each
+  * the driver-side sorted trees. Per tree, it chooses the α-window by one
+  * binary search ([[selectWindow]]: O(log n) probes). The rest of a query
+  * runs in primitive arrays reused across the τ trees. Each
   * object's bounds are computed once per query and remembered by id: per
   * window, the unknown ones in column loops over the gathered refdists, a
   * reference or a reference pair at a time, bit for bit [[triBound]] and
@@ -103,30 +103,18 @@ object HdQuery {
 
   // ---- window retrieval -------------------------------------------------
 
-  /** Index of the first key >= qkey (lower bound) in a sorted key array. */
-  def lowerBound(keys: Array[Array[Byte]], qkey: Array[Byte]): Int = {
-    var lo = 0
-    var hi = keys.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (Hilbert.compareKeys(keys(mid), qkey) < 0) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
-
   /** The α entries nearest to qkey in one-dimensional key order, as
     * [start, end) over `keys`: the window that a greedy merge outward from
-    * the insertion point pos takes when it grows one entry at a time toward
+    * qkey's insertion point takes when it grows one entry at a time toward
     * the numerically closer side, ties going left. Its size is w = min(α, n).
     *
-    * The start is found by binary search over s ∈ [max(0, pos − w),
-    * min(pos, n − w)]. There, entry s lies left of pos and s + w right of
-    * it, and the merge takes s before s + w iff
-    * qkey − keys(s) ≤ keys(s + w) − qkey (both sides are sorted by distance
-    * from qkey, and ties go left). The window is a prefix of the merge
-    * order, so it holds s and not s + w exactly when s ≥ start: the
-    * predicate is false below the start and true from it on. A tree costs
-    * O(log n + log α) key comparisons, whatever α is.
+    * The start is the first s ∈ [0, n − w) with keys(s) + keys(s + w) ≥
+    * 2·qkey, else n − w: one binary search, as both keys grow with s. Where
+    * s lies left of qkey and s + w right of it, the predicate says the merge
+    * takes s before s + w (both sides are sorted by distance from qkey, and
+    * ties go left), so the window, a prefix of the merge order, holds s and
+    * not s + w exactly when s ≥ start; further left both keys are below
+    * qkey, further right neither is. O(log n) probes, whatever α is.
     *
     * Each probe tests the predicate as the sign of
     * keys(s) + keys(s + w) − 2·qkey in one pass over the three keys from the
@@ -138,9 +126,8 @@ object HdQuery {
     require(alpha >= 0, s"alpha must be non-negative, got $alpha")
     val n = keys.length
     val w = math.min(alpha, n)
-    val pos = lowerBound(keys, qkey)
-    var lo = math.max(0, pos - w)
-    var hi = math.min(pos, n - w)
+    var lo = 0
+    var hi = n - w
     while (lo < hi) {
       val s = (lo + hi) >>> 1
       val a = keys(s)
@@ -277,17 +264,13 @@ object HdQuery {
     private var gatheredAt = new Array[Int](0)
     private var cols      = new Array[Array[Double]](0)
     private var best      = new Array[Double](0)
-    // Eq. 6's reference pairs (i < j) with d(R_i, R_j) > 0, in (i, j) order
-    private var pairI     = new Array[Int](0)
-    private var pairJ     = new Array[Int](0)
-    private var nPairs    = 0
     // the rerank's group of four: vectors, their ids, their squared distances
     private val group     = new Array[Array[Float]](4)
     private val groupIds  = new Array[Long](4)
     private val sums      = new Array[Double](4)
 
     /** Begins q's query on `model` under p: the next epoch, the reference
-      * distances, Eq. 6's pairs, and every array grown to fit.
+      * distances, and every array grown to fit.
       */
     def start(model: HdIndexModel, q: Array[Float], p: QueryParams): Unit = {
       busy = true
@@ -323,22 +306,7 @@ object HdQuery {
       nSurvivors = 0
       triMemo = fit(triMemo, refdistsById.length)
       slotOf = fit(slotOf, refdistsById.length)
-      if (p.usePtolemaic) {
-        ptoMemo = fit(ptoMemo, refdistsById.length)
-        if (pairI.length < m * (m - 1) / 2) {
-          pairI = new Array[Int](m * (m - 1) / 2); pairJ = new Array[Int](pairI.length)
-        }
-        nPairs = 0
-        var i = 0
-        while (i < m) {
-          var j = i + 1
-          while (j < m) {
-            if (refMatrix(i)(j) > 0) { pairI(nPairs) = i; pairJ(nPairs) = j; nPairs += 1 }
-            j += 1
-          }
-          i += 1
-        }
-      }
+      if (p.usePtolemaic) ptoMemo = fit(ptoMemo, refdistsById.length)
     }
 
     /** `memo`, or a larger empty one when it holds fewer than n slots: at
@@ -420,21 +388,25 @@ object HdQuery {
 
     /** Eq. 6 for the ids of the β set (the window entries at packed[0, b)'s
       * positions) not yet known; packs their (Ptolemaic bound, position)
-      * there.
+      * there. Pairs at distance 0 are skipped, as in [[ptolemaicBound]].
       */
     private def ptolemaic(ids: Array[Int], s: Int, b: Int): Unit = {
       val c = gather(ids, s, b, ptoMemo)
       val bs = best
-      var k = 0
-      while (k < nPairs) {
-        val i = pairI(k)
-        val j = pairJ(k)
-        val ci = cols(i); val cj = cols(j)
-        val di = dq(i); val dj = dq(j)
+      // the pairs i < j in (i, j) order, as one loop over j that carries i:
+      // nested per i, the pass ran slower on sift10k-churn
+      var i = 0
+      var j = 1
+      while (j < m) {
         val den = refMatrix(i)(j)
-        var o = 0
-        while (o < c) { bs(o) = Math.max(bs(o), Math.abs(di * cj(o) - dj * ci(o)) / den); o += 1 }
-        k += 1
+        if (den > 0) {
+          val ci = cols(i); val cj = cols(j)
+          val di = dq(i); val dj = dq(j)
+          var o = 0
+          while (o < c) { bs(o) = Math.max(bs(o), Math.abs(di * cj(o) - dj * ci(o)) / den); o += 1 }
+        }
+        j += 1
+        if (j == m) { i += 1; j = i + 1 }
       }
       remember(c, ptoMemo)
     }
@@ -632,11 +604,10 @@ object HdQuery {
       var pages = 0L
       var t = 0
       while (t < model.trees.length) {
-        val tree  = model.trees(t)
-        val qkey  = Hilbert(tree.width, cfg.omega).encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
-        val (s, e) = selectWindow(tree.keys, qkey, p.alpha)
+        val tree   = model.trees(t)
+        val (s, e) = selectWindow(tree.keys, tree.curve.encodeVector(q, tree.fromDim, cfg.lo, cfg.hi), p.alpha)
         kernel.filter(tree.ids, s, e)
-        pages += model.treeHeight(t) + (e - s + model.leafOrder(t) - 1) / model.leafOrder(t)
+        pages += tree.queryPages(cfg, e - s)
         t += 1
       }
       val (ans, kappa) = kernel.answer(q, getVec, p.k, model.deleted)

@@ -8,16 +8,58 @@ import repro.VecRow
   * [[RdbTree.keyOffsets]]`(t)` until `(t + 1)`), a pointer (the id) to the
   * full descriptor, and — the paper's novelty — the object's distances to
   * the m reference objects, stored *in the leaf* so the distance filters
-  * run without extra disk accesses.
+  * run without extra disk accesses. `checksum` is the hash of the vector's
+  * float bits (`java.util.Arrays.hashCode`), for the driver to check that
+  * the job read the vectors it holds.
   */
-final case class ObjectEntry(id: Long, keys: Array[Byte], refdists: Array[Float])
+final case class ObjectEntry(id: Long, keys: Array[Byte], refdists: Array[Float], checksum: Int)
 
-/** RDB-tree (Reference-Distance B+-tree), Sec. 3.2.
+/** Driver-side view of one RDB-tree: entries in (Hilbert key, id) order.
+  * `keys`, `ids` (in [0, n)) are aligned; `curve` keys dimensions from
+  * `fromDim`. Reference distances are looked up by id in the model's shared
+  * table (logically replicated per leaf, as the page model assumes).
+  */
+final case class LocalTree(treeId: Int, fromDim: Int, curve: Hilbert,
+                           keys: Array[Array[Byte]], ids: Array[Int]) {
+  def width: Int = curve.dims
+
+  /** Sec. 3.6: this tree with (key, id) inserted, copy-on-write, before the
+    * first greater key: the (key, id) position, as id exceeds every id here.
+    */
+  def inserted(key: Array[Byte], id: Int): LocalTree = {
+    var lo = 0
+    var hi = keys.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (Hilbert.compareKeys(keys(mid), key) <= 0) lo = mid + 1 else hi = mid
+    }
+    val nk = new Array[Array[Byte]](keys.length + 1)
+    val ni = new Array[Int](ids.length + 1)
+    System.arraycopy(keys, 0, nk, 0, lo); nk(lo) = key
+    System.arraycopy(keys, lo, nk, lo + 1, keys.length - lo)
+    System.arraycopy(ids, 0, ni, 0, lo); ni(lo) = id
+    System.arraycopy(ids, lo, ni, lo + 1, ids.length - lo)
+    copy(keys = nk, ids = ni)
+  }
+
+  /** Sec. 4.4: the pages a query reads here under cfg's m and B: height + ⌈w/Ω⌉. */
+  def queryPages(cfg: HdIndexConfig, w: Int): Long = {
+    val om = RdbTree.leafOrder(width, curve.order, cfg.m, cfg.pageSize)
+    RdbTree.height(keys.length, width, curve.order, cfg.m, cfg.pageSize) + (w + om - 1) / om
+  }
+
+  /** Sec. 3.5.2: the bytes of this tree's pages under cfg's m and B. */
+  def bytes(cfg: HdIndexConfig): Long =
+    RdbTree.levels(keys.length, width, curve.order, cfg.m, cfg.pageSize)(pages => pages) * cfg.pageSize
+}
+
+/** RDB-tree (Reference-Distance B+-tree), Sec. 3.2: the one module that
+  * knows a tree's layout (slices, curves, (key, id) order, page shape).
   *
   * The distributed build job computes each object's τ keys and m reference
   * distances once, as one [[ObjectEntry]]; the driver then sorts each tree
-  * by (key, id) ([[HdIndex.build]]). Leaf page i of a tree holds its sorted
-  * entries [i·Ω, (i+1)·Ω).
+  * by (key, id) ([[trees]]). Leaf page i of a tree holds its sorted entries
+  * [i·Ω, (i+1)·Ω).
   */
 object RdbTree {
 
@@ -37,15 +79,21 @@ object RdbTree {
     math.max(2, math.floor((pageSize - 17) / entryBytes).toInt)
   }
 
-  /** Height of a tree over n objects (levels above the leaves + leaf level). */
-  def height(n: Long, eta: Int, omega: Int, m: Int, pageSize: Int = 4096): Int = {
-    val leaves = math.max(1L, (n + leafOrder(eta, omega, m, pageSize) - 1) / leafOrder(eta, omega, m, pageSize))
-    val theta  = internalFanout(eta, omega, pageSize)
-    var h = 1
-    var nodes = leaves
-    while (nodes > 1) { nodes = (nodes + theta - 1) / theta; h += 1 }
-    h
+  /** Σ f(pages) over the levels of a tree of n entries, ⌈n/Ω⌉ leaves then
+    * ⌈·/θ⌉ pages per level up to the root: f = 1 gives the height.
+    */
+  private[core] def levels(n: Long, eta: Int, omega: Int, m: Int, pageSize: Int)(f: Long => Long): Long = {
+    val om    = leafOrder(eta, omega, m, pageSize)
+    val theta = internalFanout(eta, omega, pageSize)
+    var level = (n + om - 1) / om
+    var sum = f(level)
+    while (level > 1) { level = (level + theta - 1) / theta; sum += f(level) }
+    sum
   }
+
+  /** Height of a tree over n objects (levels above the leaves + leaf level). */
+  def height(n: Long, eta: Int, omega: Int, m: Int, pageSize: Int = 4096): Int =
+    levels(n, eta, omega, m, pageSize)(_ => 1).toInt
 
   /** η = ceil(ν/τ), the width of every dimension slice but the last.
     * Fails unless all τ slices are non-empty, (τ − 1)·η < ν: for some
@@ -68,11 +116,15 @@ object RdbTree {
     Array.tabulate(tau)(t => (t * eta, math.min(eta, dim - t * eta)))
   }
 
+  /** Each tree's first dimension and order-ω curve over its [[partitions]] slice. */
+  def curves(dim: Int, tau: Int, omega: Int): Array[(Int, Hilbert)] =
+    partitions(dim, tau).map { case (from, width) => (from, Hilbert(width, omega)) }
+
   /** Where each tree's key starts in an [[ObjectEntry]]'s `keys`: τ + 1
     * offsets, the last being the total length.
     */
   def keyOffsets(dim: Int, tau: Int, omega: Int): Array[Int] =
-    partitions(dim, tau).scanLeft(0) { case (off, (_, width)) => off + Hilbert(width, omega).keyBytes }
+    curves(dim, tau, omega).scanLeft(0) { case (off, (_, curve)) => off + curve.keyBytes }
 
   /** Distributed part of the build of all τ trees (Algo. 1 lines 4–10): one
     * map-only job, one entry per object, with no shuffle.
@@ -89,7 +141,7 @@ object RdbTree {
             dim: Int, tau: Int, omega: Int, lo: Double, hi: Double,
             pageSize: Int = 4096): Dataset[ObjectEntry] = {
     import spark.implicits._
-    val curves = partitions(dim, tau).map { case (from, width) => (from, Hilbert(width, omega)) }
+    val curves = RdbTree.curves(dim, tau, omega)
     val offs   = keyOffsets(dim, tau, omega)
     val bRefs  = spark.sparkContext.broadcast(refs)
 
@@ -107,7 +159,25 @@ object RdbTree {
         System.arraycopy(h.encodeVector(row.vec, from, lo, hi), 0, keys, offs(t), h.keyBytes)
         t += 1
       }
-      ObjectEntry(row.id, keys, rd)
+      ObjectEntry(row.id, keys, rd, java.util.Arrays.hashCode(row.vec))
+    }
+  }
+
+  /** The τ trees over `byId`, the entries of ids 0 until n: each a (key, id)
+    * sort of the ids, a total order, so the trees do not depend on Spark's
+    * partitioning. Keys are copied in tree order, so no entry stays alive.
+    */
+  def trees(byId: Array[ObjectEntry], cfg: HdIndexConfig): Array[LocalTree] = {
+    val offs = keyOffsets(cfg.dim, cfg.tau, cfg.omega)
+    curves(cfg.dim, cfg.tau, cfg.omega).zipWithIndex.map { case ((from, curve), t) =>
+      val (start, end) = (offs(t), offs(t + 1))
+      val sorted = Array.tabulate[Integer](byId.length)(Integer.valueOf)
+      java.util.Arrays.sort(sorted, (a: Integer, b: Integer) => {
+        // unsigned lexicographic, as Hilbert.compareKeys
+        val c = java.util.Arrays.compareUnsigned(byId(a).keys, start, end, byId(b).keys, start, end)
+        if (c != 0) c else a.compareTo(b)
+      })
+      LocalTree(t, from, curve, sorted.map(id => java.util.Arrays.copyOfRange(byId(id).keys, start, end)), sorted.map(_.intValue))
     }
   }
 }

@@ -53,12 +53,13 @@ class VectorDataSpec extends SparkSpec {
   }
 
   test("eta is ceil(dim/tau) for every registry entry (Table 3 column)") {
-    assert(VectorData.sift10k.eta == 16)
-    assert(VectorData.yorck.eta == 16)
-    assert(VectorData.audio.eta == 24)
-    assert(VectorData.enron.eta == 86)
-    assert(VectorData.glove.eta == 13)
-    assert(VectorData.sun.eta == 32) // tau=16 (the Sec. 5.2.4 recommendation for 500+ dims)
+    def eta(spec: VectorData.Spec): Int = repro.core.RdbTree.sliceWidth(spec.dim, spec.tau)
+    assert(eta(VectorData.sift10k) == 16)
+    assert(eta(VectorData.yorck) == 16)
+    assert(eta(VectorData.audio) == 24)
+    assert(eta(VectorData.enron) == 86)
+    assert(eta(VectorData.glove) == 13)
+    assert(eta(VectorData.sun) == 32) // tau=16 (the Sec. 5.2.4 recommendation for 500+ dims)
   }
 
   test("registry dims and domains match Table 4") {

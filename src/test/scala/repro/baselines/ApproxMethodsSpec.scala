@@ -111,7 +111,7 @@ class ApproxMethodsSpec extends SparkSpec {
     }
   }
 
-  test("Multicurves, SRS, C2LSH, QALSH and OPQ answers equal their pinned digests (k = 1, 10, 100)") {
+  test("Multicurves, SRS, C2LSH, QALSH, OPQ and HNSW answers equal their pinned digests (k = 1, 10, 100)") {
     val got = Seq[AnnIndex](multicurves, srs, c2lsh, qalsh, opq, hnsw)
       .map(idx => idx.name -> TestFixtures.answerDigest(Seq(1, 10, 100))(idx.search)).toMap
     assert(got == Map(

@@ -120,7 +120,7 @@ class ExactMethodsSpec extends SparkSpec {
     val small = Array(Array(0f, 0f), Array(1f, 0f), Array(0f, 1f))
     import spark.implicits._
     val ds = spark.createDataset(small.toSeq.zipWithIndex.map { case (v, i) => VecRow(i.toLong, v) })
-    val idx = IDistance.buildIndex(spark, ds, small, nPivots = 2)
+    val idx = IDistance.buildIndex(spark, ds, small)
     assert(idx.search(Array(0f, 0f), 10).length == 3)
   }
 }

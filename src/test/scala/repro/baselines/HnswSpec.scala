@@ -13,7 +13,7 @@ class HnswSpec extends AnyFunSuite {
 
   test("exact on a tiny set (graph covers everything)") {
     val data = ring(50)
-    val idx = Hnsw.buildIndex(data, m = 8, efConstruction = 50, ef = 50)
+    val idx = Hnsw.buildIndex(data)
     for (i <- 0 until 50 by 7) {
       val got = idx.search(data(i), 5).map(_._1)
       val brute = data.indices.map(j => (j.toLong, Distance.l2(data(i), data(j))))
@@ -23,7 +23,7 @@ class HnswSpec extends AnyFunSuite {
   }
 
   test("search on an empty index returns empty") {
-    val idx = new Hnsw.Index(Array.empty, 8, 50, 50)
+    val idx = Hnsw.buildIndex(Array.empty)
     assert(idx.search(Array(0f, 0f), 3).isEmpty)
   }
 

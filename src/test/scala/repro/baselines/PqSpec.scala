@@ -21,27 +21,34 @@ class PqSpec extends SparkSpec {
     assert(Pq.rotate(p, Array(3f, 7f)).toSeq == Seq(7f, 3f))
   }
 
-  lazy val data: Array[Array[Float]] = {
+  /** 500 points in 10 clusters in [0, 10)^dim. */
+  private def clusters(dim: Int): Array[Array[Float]] = {
     val rng = new scala.util.Random(9)
-    val centers = Array.fill(10)(Array.fill(8)(rng.nextFloat() * 10))
+    val centers = Array.fill(10)(Array.fill(dim)(rng.nextFloat() * 10))
     Array.tabulate(500) { i =>
       centers(i % 10).map(x => x + rng.nextGaussian().toFloat * 0.2f)
     }
   }
-  lazy val ds = {
+  lazy val data: Array[Array[Float]] = clusters(8)
+  lazy val ds = dataset(data)
+  /** Past ν = 600, the index is plain PQ. */
+  lazy val wide: Array[Array[Float]] = clusters(601)
+  lazy val wideDs = dataset(wide)
+
+  private def dataset(vs: Array[Array[Float]]) = {
     import spark.implicits._
-    spark.createDataset(data.toSeq.zipWithIndex.map { case (v, i) => VecRow(i.toLong, v) })
+    spark.createDataset(vs.toSeq.zipWithIndex.map { case (v, i) => VecRow(i.toLong, v) })
   }
 
   test("plain PQ (no PCA): codes are within codebook range and search works") {
-    val idx = Pq.buildIndex(spark, ds, data, kCentroids = 16, usePca = false)
+    val idx = Pq.buildIndex(spark, wideDs, wide)
     assert(idx.name == "pq")
-    val got = idx.search(data(0), 5)
+    val got = idx.search(wide(0), 5)
     assert(got.length == 5)
   }
 
   test("OPQ (PCA rotation): distances in rotated space are preserved") {
-    val idx = Pq.buildIndex(spark, ds, data, kCentroids = 16, usePca = true)
+    val idx = Pq.buildIndex(spark, ds, data)
     assert(idx.name == "opq")
     // ADC distance should correlate with true distance: the true NN should
     // rank in the top quarter under ADC ordering for clustered data
@@ -56,17 +63,19 @@ class PqSpec extends SparkSpec {
   }
 
   test("PQ ADC self-query: the queried point's own code-cell ranks very well") {
-    val idx = Pq.buildIndex(spark, ds, data, kCentroids = 32, usePca = false)
+    val idx = Pq.buildIndex(spark, wideDs, wide)
+    assert(idx.name == "pq")
     var ok = 0
     for (i <- 0 until 30) {
-      if (idx.search(data(i), 25).map(_._1).contains(i.toLong)) ok += 1
+      if (idx.search(wide(i), 25).map(_._1).contains(i.toLong)) ok += 1
     }
     assert(ok >= 20, s"self-point found in top-25 only $ok/30 times")
   }
 
   test("index bytes: n codes + codebooks") {
-    val idx = Pq.buildIndex(spark, ds, data, kCentroids = 16, usePca = false)
-    assert(idx.indexBytes == 500L * 2 + 2L * 16 * 4 * 4)
+    val idx = Pq.buildIndex(spark, ds, data)
+    // M = 2 code bytes per object, and 2 codebooks of K = 256 centroids of 4 floats
+    assert(idx.indexBytes == 500L * 2 + 2L * 256 * 4 * 4)
   }
 
   test("kmeans produces the requested number of centroids of the right dim") {

@@ -10,14 +10,6 @@ class HdQuerySpec extends SparkSpec {
 
   private def key1d(v: Long): Array[Byte] = Hilbert(1, 8).encode(Array(v))
 
-  test("lowerBound finds the insertion point") {
-    val keys = Array(1L, 3L, 5L, 7L).map(key1d)
-    assert(HdQuery.lowerBound(keys, key1d(0)) == 0)
-    assert(HdQuery.lowerBound(keys, key1d(3)) == 1)
-    assert(HdQuery.lowerBound(keys, key1d(4)) == 2)
-    assert(HdQuery.lowerBound(keys, key1d(9)) == 4)
-  }
-
   test("selectWindow picks the numerically nearest alpha keys") {
     val keys = Array(0L, 10L, 20L, 30L, 100L).map(key1d)
     // query at 22: nearest 3 are 20, 30, 10
@@ -66,12 +58,23 @@ class HdQuerySpec extends SparkSpec {
     }
   }
 
-  /** The window as an outward greedy merge: one entry at a time toward the
-    * numerically closer side, ties going left. [[HdQuery.selectWindow]]
-    * must return the same (start, end).
+  /** Index of the first key >= qkey in a sorted key array. */
+  private def lowerBound(keys: Array[Array[Byte]], qkey: Array[Byte]): Int = {
+    var lo = 0
+    var hi = keys.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (Hilbert.compareKeys(keys(mid), qkey) < 0) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
+  /** The window as an outward greedy merge from qkey's insertion point: one
+    * entry at a time toward the numerically closer side, ties going left.
+    * [[HdQuery.selectWindow]] must return the same (start, end).
     */
   private def greedyWindow(keys: Array[Array[Byte]], qkey: Array[Byte], alpha: Int): (Int, Int) = {
-    val pos = HdQuery.lowerBound(keys, qkey)
+    val pos = lowerBound(keys, qkey)
     val dl = new Array[Byte](qkey.length)
     val dr = new Array[Byte](qkey.length)
     var l = pos - 1
@@ -128,7 +131,7 @@ class HdQuerySpec extends SparkSpec {
       val (s, e) = expect
       if (full && width == 128 && s < e && e < n) fullWidth += 1
       // a tie decided at the window's edge: keys(s) went in, keys(e) did not
-      if (s < HdQuery.lowerBound(keys, qkey) && e < n) {
+      if (s < lowerBound(keys, qkey) && e < n) {
         val dl = new Array[Byte](width)
         val dr = new Array[Byte](width)
         subtract(qkey, keys(s), dl)
@@ -332,7 +335,8 @@ class HdQuerySpec extends SparkSpec {
       if (byPto.take(g).map(pk => beta(pk.toInt)).toSet != byPos.take(g).map(_.toInt).toSet)
         tiesDecided += 1
       cands ++= byPto.take(g).map(pk => ids(beta(pk.toInt)))
-      pages += m.treeHeight(t) + (e - s + m.leafOrder(t) - 1) / m.leafOrder(t)
+      val om = RdbTree.leafOrder(tree.width, cfg.omega, cfg.m, cfg.pageSize)
+      pages += RdbTree.height(m.n, tree.width, cfg.omega, cfg.m, cfg.pageSize) + (e - s + om - 1) / om
     }
     cands --= m.deleted
     // a full sort, so the reference shares no top-k code with the kernel

@@ -101,6 +101,19 @@ class RdbTreeSpec extends SparkSpec {
   lazy val spec: VectorData.Spec = TestFixtures.tiny
   lazy val model: HdIndexModel = TestFixtures.tinyModel
 
+  test("a tree inserts a new id after every equal key, at the first greater key") {
+    val curve = Hilbert(1, 8)
+    def key(v: Long) = curve.encode(Array(v))
+    val tree = LocalTree(0, 0, curve, Array(1L, 3L, 3L, 5L, 7L).map(key), Array(0, 1, 2, 3, 4))
+    for ((v, at) <- Seq(0L -> 0, 3L -> 3, 4L -> 3, 7L -> 5, 9L -> 5)) {
+      val got = tree.inserted(key(v), 5)
+      assert(got.ids.indexOf(5) == at && got.keys(at).sameElements(key(v)), s"key $v")
+      assert(got.ids.filter(_ != 5).sameElements(tree.ids), s"key $v")
+      assert(got.keys.indices.tail.forall(i => Hilbert.compareKeys(got.keys(i - 1), got.keys(i)) <= 0), s"key $v")
+    }
+    assert(tree.ids.length == 5) // copy-on-write
+  }
+
   test("build produces tau trees with n entries each") {
     assert(model.trees.length == spec.tau)
     model.trees.foreach(t => assert(t.keys.length == spec.n && t.ids.length == spec.n))
@@ -237,6 +250,16 @@ class RdbTreeSpec extends SparkSpec {
     }
   }
 
+  test("a localData that differs from data fails, naming the first differing id") {
+    val local = TestFixtures.tinyLocal.clone()
+    for (id <- Seq(1999, 42)) {
+      local(id) = local(id).clone()
+      local(id)(3) = Math.nextUp(local(id)(3))
+    }
+    val e = intercept[IllegalArgumentException](HdIndex.build(spark, spec.data(spark), local, model.cfg))
+    assert(e.getMessage == "requirement failed: object 42 of data differs from localData")
+  }
+
   test("m = 0 builds the same trees with no references, and a negative m is rejected") {
     assertThrows[IllegalArgumentException](model.cfg.copy(m = -1))
     val curves = TestFixtures.tinyCurves
@@ -253,5 +276,17 @@ class RdbTreeSpec extends SparkSpec {
     // tau trees, entry ~ (eta*omega/8 + 4m + 8) bytes + page slack
     assert(bytesPerObj > 0)
     assert(bytesPerObj < 10000, s"index unexpectedly large: $bytesPerObj B/object")
+  }
+
+  test("tiny's index bytes and query leaf pages keep their page-model values") {
+    // each of the 4 trees: η = 8, ω = 8, m = 10, so entries of 8 + 40 + 8
+    // bytes, Ω = ⌊4079 / 56⌋ = 72 and θ = ⌊4079 / 16⌋ = 254; 2000 entries
+    // fill 28 leaves under one root: height 2, 29 pages of 4096 bytes
+    assert(model.indexBytes == 4L * 29 * 4096)
+    // per query and tree: the height plus ⌈α / Ω⌉ leaves, over 20 queries
+    for ((p, perTree) <- Seq(QueryParams.recommended(10, 512) -> (2 + 8), QueryParams(10, 256, 256, 64) -> (2 + 4))) {
+      val pages = TestFixtures.tinyQueries.map(q => HdQuery.searchLocal(model, q.vec, p, TestFixtures.getVec)._2.leafPages)
+      assert(pages.sum == 20L * 4 * perTree, p)
+    }
   }
 }
