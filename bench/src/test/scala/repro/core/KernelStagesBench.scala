@@ -15,6 +15,13 @@ import repro.harness.Harness
   * rerank's order shows as work saved and not only as time, and the µs of
   * the τ γ cuts (part of the filters), replayed alone on the windows'
   * packed bounds.
+  *
+  * It then splits [[HdIndex.insert]] the same way, on inserts of new
+  * vectors into the built model itself, as perfbench's insert phase makes
+  * them: the τ Hilbert encodes, the m reference distances, the τ page
+  * copies ([[LocalTree.inserted]]) and the refdist chunk copy
+  * ([[Refdists.withRow]]), in µs per insert, next to the whole insert's µs
+  * and the bytes it allocates.
   */
 class KernelStagesBench extends SparkSpec {
 
@@ -43,7 +50,7 @@ class KernelStagesBench extends SparkSpec {
         val b = System.nanoTime()
         val (s, e) = HdQuery.selectWindow(tree.keys, qkey, p.alpha)
         val c = System.nanoTime()
-        kernel.filter(tree.ids, s, e)
+        kernel.filter(tree, s, e)
         val d = System.nanoTime()
         ns(1) += b - a; ns(2) += c - b; ns(3) += d - c
         t += 1
@@ -90,6 +97,36 @@ class KernelStagesBench extends SparkSpec {
     ns / 1e3 / queries
   }
 
+  private val insertStages = Seq("encodes", "refdists", "pages", "chunk")
+
+  /** µs per insert of each insert stage over `vecs`, each inserted into
+    * `model` itself, and the whole inserts' µs and bytes allocated per insert.
+    */
+  private def insertPass(model: HdIndexModel, vecs: Array[Array[Float]]): (Array[Double], Double, Double) = {
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val cfg = model.cfg
+    val ns = new Array[Long](insertStages.length)
+    for (v <- vecs) {
+      val t0 = System.nanoTime()
+      val keys = model.trees.map(tr => tr.curve.encodeVector(v, tr.fromDim, cfg.lo, cfg.hi))
+      val t1 = System.nanoTime()
+      val rd = model.refs.map(r => Distance.l2(v, r).toFloat)
+      val t2 = System.nanoTime()
+      model.trees.indices.foreach(t => model.trees(t).inserted(keys(t), model.n))
+      val t3 = System.nanoTime()
+      model.refdistsById.withRow(rd)
+      val t4 = System.nanoTime()
+      ns(0) += t1 - t0; ns(1) += t2 - t1; ns(2) += t3 - t2; ns(3) += t4 - t3
+    }
+    val b0 = mx.getCurrentThreadAllocatedBytes
+    val t0 = System.nanoTime()
+    for (v <- vecs) HdIndex.insert(model, model.n, v)
+    val wholeNs = System.nanoTime() - t0
+    val bytes = (mx.getCurrentThreadAllocatedBytes - b0).toDouble / vecs.length
+    (ns.map(_ / 1e3 / vecs.length), wholeNs / 1e3 / vecs.length, bytes)
+  }
+
   private def run(base: VectorData.Spec, ptolemaic: Boolean): Unit = {
     val spec = base.copy(seed = 1, nQueries = 200)
     val local = spec.localData
@@ -118,6 +155,16 @@ class KernelStagesBench extends SparkSpec {
     println(median.map(us => f"$us%9.1f").mkString + f"${median.sum}%9.1f" +
             f"${coords.sum.toDouble / queries.length}%10.0f$cuts%9.1f")
     assert(coords.forall(_ > 0))
+
+    // inserts: 2000 new vectors past the data and its queries, as perfbench's
+    val vecs = Array.tabulate(2000)(j => spec.point(spec.n.toLong + spec.nQueries + j))
+    for (_ <- 1 to 10) insertPass(model, vecs)
+    val ins = Array.fill(Harness.TimedPasses)(insertPass(model, vecs)).sortBy(_._2).apply(Harness.TimedPasses / 2)
+    println(f"== insert stages on ${spec.name} (n=${spec.n}, tau=${model.trees.length}, " +
+            f"leaf order ${model.trees(0).order}; us per insert into the built model, the pass of median " +
+            f"whole-insert time of ${Harness.TimedPasses} passes over ${vecs.length} inserts) ==")
+    println(insertStages.map(s => f"$s%9s").mkString + f"${"staged"}%9s${"insert"}%9s${"B/insert"}%10s")
+    println(ins._1.map(us => f"$us%9.2f").mkString + f"${ins._1.sum}%9.2f${ins._2}%9.2f${ins._3}%10.0f")
   }
 
   test("sun, triangular: stage split") { run(VectorData.sun, ptolemaic = false) }

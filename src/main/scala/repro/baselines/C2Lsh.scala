@@ -60,7 +60,7 @@ object C2Lsh extends AnnMethod {
     val offsets = Array.fill(M)(rng.nextDouble() * w)
     val bP = spark.sparkContext.broadcast(projections)
     val bO = spark.sparkContext.broadcast(offsets)
-    val buckets = Common.collectById(data, localData.length) { r =>
+    val buckets = Common.collectById(data, localData) { r =>
       val ps = bP.value; val os = bO.value
       Array.tabulate(ps.length)(i => math.floor((Common.dot(r.vec, ps(i)) + os(i)) / w).toLong + Offset)
     }

@@ -69,9 +69,17 @@ object Common {
     out
   }
 
-  /** `f` of every object of `data`, computed in Spark and placed by [[byId]]. */
-  def collectById[T: ClassTag](data: Dataset[VecRow], n: Int)(f: VecRow => T): Array[T] =
-    byId(n, data.rdd.map(r => r.id -> f(r)).collect())
+  /** `f` of every object of `data`, computed in Spark and placed by
+    * [[byId]]. `localData` is the driver-side copy of `data`: each object's
+    * vector must hash (`java.util.Arrays.hashCode`) as its row there, as in
+    * `HdIndex.build`, else the first differing id is named.
+    */
+  def collectById[T: ClassTag](data: Dataset[VecRow], localData: Array[Array[Float]])(f: VecRow => T): Array[T] = {
+    val rows = byId(localData.length, data.rdd.map(r => r.id -> (java.util.Arrays.hashCode(r.vec), f(r))).collect())
+    for (id <- rows.indices)
+      require(rows(id)._1 == java.util.Arrays.hashCode(localData(id)), s"object $id of data differs from localData")
+    rows.map(_._2)
+  }
 
   /** Base bucket width w of C2LSH and QALSH. The paper uses w = 1 on
     * normalised data; here it is 1/8 of the spread of the first

@@ -95,7 +95,7 @@ object IDistance extends AnnMethod {
     val bPivots = spark.sparkContext.broadcast(pivots)
 
     // per object: nearest pivot and the distance to it
-    val keys = Common.collectById(data, localData.length) { r =>
+    val keys = Common.collectById(data, localData) { r =>
       val ps = bPivots.value
       val c  = Common.nearestCentroid(r.vec, ps)
       (c, Distance.l2(r.vec, ps(c)))

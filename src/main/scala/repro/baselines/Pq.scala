@@ -129,7 +129,7 @@ object Pq extends AnnMethod {
     val bCb = spark.sparkContext.broadcast(codebooks)
     val bRot = spark.sparkContext.broadcast(rotation)
     val bRanges = spark.sparkContext.broadcast(ranges)
-    val codes = Common.collectById(data, localData.length) { r =>
+    val codes = Common.collectById(data, localData) { r =>
       val v = bRot.value.map(rot => rotate(rot, r.vec)).getOrElse(r.vec)
       bRanges.value.zipWithIndex.map { case ((from, until), s) =>
         Common.nearestCentroid(v.slice(from, until), bCb.value(s)).toByte

@@ -54,7 +54,7 @@ object Qalsh extends AnnMethod {
     val projections = Common.gaussianProjections(dim, M, Seed)
     val w = Common.bucketWidth(localData, projections(0))
     val bP = spark.sparkContext.broadcast(projections)
-    val projs = Common.collectById(data, localData.length) { r =>
+    val projs = Common.collectById(data, localData) { r =>
       val ps = bP.value
       Array.tabulate(ps.length)(i => Common.dot(r.vec, ps(i)).toFloat)
     }

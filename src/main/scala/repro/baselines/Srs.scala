@@ -75,7 +75,7 @@ object Srs extends AnnMethod {
     val dim = localData.head.length
     val projections = Common.gaussianProjections(dim, M, Seed)
     val bP = spark.sparkContext.broadcast(projections)
-    val projected = Common.collectById(data, localData.length)(r =>
+    val projected = Common.collectById(data, localData)(r =>
       bP.value.map(p => Common.dot(r.vec, p).toFloat))
     new Index(localData, projections, projected)
   }

@@ -26,8 +26,63 @@ final case class HdIndexConfig(
   def seed: Long = 7
 }
 
+/** The m reference distances of every object, by id, in one append-only
+  * table of chunks: chunk c holds the rows of ids c·C until (c + 1)·C
+  * (C = 2^[[Refdists.ChunkBits]]), m floats each, back to back, so a row
+  * is one strided read. Only the last chunk may hold fewer than C rows. An
+  * insert ([[withRow]]) copies that chunk and the chunk directory; the new
+  * table shares every other chunk with the old one.
+  *
+  * As a sequence it is a read-only view: `apply(id)` copies row id.
+  */
+final class Refdists private (val m: Int, val length: Int,
+                              private[core] val chunks: Array[Array[Float]])
+    extends IndexedSeq[Array[Float]] with Serializable {
+
+  /** Row id, as a copy of its m floats. */
+  def apply(id: Int): Array[Float] = {
+    if (id < 0 || id >= length) throw new IndexOutOfBoundsException(s"id $id of $length")
+    val at = (id & Refdists.ChunkMask) * m
+    java.util.Arrays.copyOfRange(chunks(id >>> Refdists.ChunkBits), at, at + m)
+  }
+
+  /** This table with `row` as the row of id `length`. */
+  def withRow(row: Array[Float]): Refdists = {
+    require(row.length == m, s"expected $m reference distances, got ${row.length}")
+    val c = length >>> Refdists.ChunkBits
+    val dir = java.util.Arrays.copyOf(chunks, c + 1)
+    val chunk = if (c < chunks.length) java.util.Arrays.copyOf(chunks(c), chunks(c).length + m) else new Array[Float](m)
+    System.arraycopy(row, 0, chunk, chunk.length - m, m)
+    dir(c) = chunk
+    new Refdists(m, length + 1, dir)
+  }
+}
+
+object Refdists {
+  /** log2 of the ids per chunk, C = 64. */
+  final val ChunkBits = 6
+  final val ChunkMask = (1 << ChunkBits) - 1
+
+  /** The table of `rows`, row id being rows(id), each of m floats. */
+  def apply(m: Int, rows: Array[Array[Float]]): Refdists = {
+    val chunks = Array.tabulate((rows.length + ChunkMask) >>> ChunkBits) { c =>
+      val from = c << ChunkBits
+      val count = math.min(rows.length - from, ChunkMask + 1)
+      val chunk = new Array[Float](count * m)
+      for (i <- 0 until count) {
+        val row = rows(from + i)
+        require(row.length == m, s"row ${from + i} has ${row.length} reference distances, expected $m")
+        System.arraycopy(row, 0, chunk, i * m, m)
+      }
+      chunk
+    }
+    new Refdists(m, rows.length, chunks)
+  }
+}
+
 /** The built HD-Index: τ RDB-trees + reference objects + the pre-computed
-  * reference-to-reference distance matrix (needed by the Ptolemaic filter).
+  * reference-to-reference distance matrix (needed by the Ptolemaic filter)
+  * + every object's reference distances.
   */
 final class HdIndexModel(
     val cfg: HdIndexConfig,
@@ -35,7 +90,7 @@ final class HdIndexModel(
     val refs: Array[Array[Float]],
     val refMatrix: Array[Array[Double]],
     val trees: Array[LocalTree],
-    val refdistsById: Array[Array[Float]]) extends Serializable {
+    val refdistsById: Refdists) extends Serializable {
 
   /** Sec. 3.6: deletions are handled by marking — marked objects are never
     * returned as answers but stay in the tree pages.
@@ -87,19 +142,17 @@ object HdIndex {
     for (id <- 0 until n)
       require(byId(id).checksum == checksums(id), s"object $id of data differs from localData")
 
-    val trees = RdbTree.trees(byId, cfg)
-    // refdists are allocated in one tree's key order: objects near in space
-    // get refdists near in memory, as a window's gather reads them
-    val refdistsById = new Array[Array[Float]](n)
-    trees.last.ids.foreach(id => refdistsById(id) = byId(id).refdists.clone())
-    new HdIndexModel(cfg, refIds, refs, refMatrix, trees, refdistsById)
+    new HdIndexModel(cfg, refIds, refs, refMatrix, RdbTree.trees(byId, cfg), Refdists(refs.length, byId.map(_.refdists)))
   }
 
   /** Sec. 3.6 insertion: B+-trees are update-friendly, so a new object only
     * needs its τ Hilbert keys and its m reference distances — the reference
     * set R is *not* recomputed (random references perform close to SSS,
     * Fig. 4, and updates are few relative to n). Each tree inserts the new
-    * entry at its (key, id) position ([[LocalTree.inserted]]).
+    * entry at its (key, id) position ([[LocalTree.inserted]]), and the
+    * refdist table appends its row ([[Refdists.withRow]]): each copies one
+    * page or chunk and its directory, so an insert copies O(τ·(Ω + n/Ω) +
+    * n/C) of the model, and the marks of [[HdIndexModel.deleted]].
     *
     * @param id must be the next dense id (== current n)
     * @return a new model sharing cfg/references with the entry inserted
@@ -110,9 +163,7 @@ object HdIndex {
     HdQuery.checkQuery(vec, cfg.dim, "inserted vector")
     val rd  = model.refs.map(r => Distance.l2(vec, r).toFloat)
     val trees = model.trees.map(tr => tr.inserted(tr.curve.encodeVector(vec, tr.fromDim, cfg.lo, cfg.hi), id))
-    val nrd = java.util.Arrays.copyOf(model.refdistsById, model.refdistsById.length + 1)
-    nrd(id) = rd
-    val m2 = new HdIndexModel(cfg, model.refIds, model.refs, model.refMatrix, trees, nrd)
+    val m2 = new HdIndexModel(cfg, model.refIds, model.refs, model.refMatrix, trees, model.refdistsById.withRow(rd))
     m2.deleted ++= model.deleted
     m2
   }

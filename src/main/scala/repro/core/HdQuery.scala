@@ -35,8 +35,10 @@ final case class QueryStats(leafPages: Long, randomAccesses: Long, kappa: Int)
 
 /** kANN querying over a built HD-Index (Algo. 2). [[searchLocal]] walks
   * the driver-side sorted trees. Per tree, it chooses the α-window by one
-  * binary search ([[selectWindow]]: O(log n) probes). The rest of a query
-  * runs in primitive arrays reused across the τ trees. Each
+  * binary search ([[selectWindow]]: O(log n) probes, each finding its two
+  * keys' leaf pages in the tree's page directory) and copies the window's
+  * ids out of its leaf pages. The rest of a query runs in primitive arrays
+  * reused across the τ trees. Each
   * object's bounds are computed once per query and remembered by id: per
   * window, the unknown ones in column loops over the gathered refdists, a
   * reference or a reference pair at a time, bit for bit [[triBound]] and
@@ -63,13 +65,13 @@ object HdQuery {
     * It exceeds the true distance d(q, o) by at most
     * ε = 2⁻²³ · max_i max(dq(i), rd(i)): rd(i) is d(o, R_i) rounded to
     * `Float` (at most 2⁻²⁴ · rd(i) away), and the `Double` arithmetic adds
-    * far less.
+    * far less. The object's m refdists are rd[at, at + m).
     */
-  def triBound(dq: Array[Double], rd: Array[Float]): Double = {
+  def triBound(dq: Array[Double], rd: Array[Float], at: Int = 0): Double = {
     var best = 0.0
     var i = 0
     while (i < dq.length) {
-      val b = math.abs(dq(i) - rd(i))
+      val b = math.abs(dq(i) - rd(at + i))
       if (b > best) best = b
       i += 1
     }
@@ -104,7 +106,7 @@ object HdQuery {
   // ---- window retrieval -------------------------------------------------
 
   /** The α entries nearest to qkey in one-dimensional key order, as
-    * [start, end) over `keys`: the window that a greedy merge outward from
+    * [start, end) over a tree's `keys`: the window that a greedy merge outward from
     * qkey's insertion point takes when it grows one entry at a time toward
     * the numerically closer side, ties going left. Its size is w = min(α, n).
     *
@@ -120,22 +122,30 @@ object HdQuery {
     * keys(s) + keys(s + w) − 2·qkey in one pass over the three keys from the
     * last byte: per byte, carry = (a + b − 2q + carry) >> 8, an arithmetic
     * shift, so the carry is the floor of the running sum over 256 and the
-    * whole sum is non-negative exactly when the final carry is.
+    * whole sum is non-negative exactly when the final carry is. Each key
+    * is read in place in its leaf page, found by [[LocalTree.pageOf]].
     */
-  def selectWindow(keys: Array[Array[Byte]], qkey: Array[Byte], alpha: Int): (Int, Int) = {
+  def selectWindow(keys: LocalTree.Keys, qkey: Array[Byte], alpha: Int): (Int, Int) = {
     require(alpha >= 0, s"alpha must be non-negative, got $alpha")
-    val n = keys.length
+    val tree = keys.tree
+    val kb = tree.curve.keyBytes
+    require(qkey.length == kb, s"expected $kb key bytes, got ${qkey.length}")
+    val n = tree.n
     val w = math.min(alpha, n)
     var lo = 0
     var hi = n - w
     while (lo < hi) {
       val s = (lo + hi) >>> 1
-      val a = keys(s)
-      val b = keys(s + w)
+      val pa = tree.pageOf(s)
+      val a = tree.pages(pa).keys
+      val ao = (s - tree.starts(pa)) * kb
+      val pb = tree.pageOf(s + w)
+      val b = tree.pages(pb).keys
+      val bo = (s + w - tree.starts(pb)) * kb
       var carry = 0
-      var i = qkey.length - 1
+      var i = kb - 1
       while (i >= 0) {
-        carry = ((a(i) & 0xff) + (b(i) & 0xff) - 2 * (qkey(i) & 0xff) + carry) >> 8
+        carry = ((a(ao + i) & 0xff) + (b(bo + i) & 0xff) - 2 * (qkey(i) & 0xff) + carry) >> 8
         i -= 1
       }
       if (carry >= 0) hi = s else lo = s + 1
@@ -244,8 +254,12 @@ object HdQuery {
     private var beta      = 0
     private var gamma     = 0
     private var refMatrix: Array[Array[Double]] = null
-    private var refdistsById: Array[Array[Float]] = null
+    // the model's refdist chunks ([[Refdists]]): row id at
+    // chunks(id >>> ChunkBits)((id & ChunkMask) · m)
+    private var chunks: Array[Array[Float]] = null
     private var m         = 0
+    // the window's ids, copied from the tree's pages
+    private var window    = new Array[Int](0)
     private var dq        = new Array[Double](0)
     private var packed    = new Array[Long](0)
     // the distinct survivors' ids in admission order, and their hit counts
@@ -286,7 +300,7 @@ object HdQuery {
       beta = p.beta
       gamma = p.gamma
       refMatrix = model.refMatrix
-      refdistsById = model.refdistsById
+      chunks = model.refdistsById.chunks
       m = model.refs.length
       if (dq.length != m) dq = new Array[Double](m)
       var r = 0
@@ -294,7 +308,7 @@ object HdQuery {
       val w = math.min(p.alpha, model.n)
       if (w > packed.length || m > cols.length) {
         val cap = math.max(w, packed.length)
-        packed = new Array[Long](cap)
+        packed = new Array[Long](cap); window = new Array[Int](cap)
         gathered = new Array[Int](cap); gatheredAt = new Array[Int](cap)
         best = new Array[Double](cap); cols = Array.ofDim[Double](math.max(m, cols.length), cap)
       }
@@ -304,9 +318,9 @@ object HdQuery {
       }
       if (model.trees.length >= buckets.length) buckets = new Array[Int](model.trees.length + 1)
       nSurvivors = 0
-      triMemo = fit(triMemo, refdistsById.length)
-      slotOf = fit(slotOf, refdistsById.length)
-      if (p.usePtolemaic) ptoMemo = fit(ptoMemo, refdistsById.length)
+      triMemo = fit(triMemo, model.n)
+      slotOf = fit(slotOf, model.n)
+      if (p.usePtolemaic) ptoMemo = fit(ptoMemo, model.n)
     }
 
     /** `memo`, or a larger empty one when it holds fewer than n slots: at
@@ -320,7 +334,7 @@ object HdQuery {
     /** Ends the query: drops its model tables and vectors. */
     def finish(): Unit = {
       refMatrix = null
-      refdistsById = null
+      chunks = null
       var j = 0
       while (j < 4) { group(j) = null; j += 1 }
       busy = false
@@ -342,9 +356,10 @@ object HdQuery {
         val slot = memo(id)
         if ((slot & HighWord) == stamp) packed(i) = pack(slot.toInt, pos)
         else {
-          val rd = refdistsById(id)
+          val rd = chunks(id >>> Refdists.ChunkBits)
+          val at = (id & Refdists.ChunkMask) * m
           var r = 0
-          while (r < m) { cols(r)(c) = rd(r); r += 1 }
+          while (r < m) { cols(r)(c) = rd(at + r); r += 1 }
           gathered(c) = id
           gatheredAt(c) = i
           best(c) = 0.0
@@ -409,6 +424,14 @@ object HdQuery {
         if (j == m) { i += 1; j = i + 1 }
       }
       remember(c, ptoMemo)
+    }
+
+    /** [[filter]] of tree's window [s, e), its ids first copied to the
+      * kernel's window buffer, one arraycopy per page.
+      */
+    def filter(tree: LocalTree, s: Int, e: Int): Unit = {
+      tree.copyIds(s, e, window)
+      filter(window, 0, e - s)
     }
 
     /** Lines 5–10 for the window [s, e) of one tree: each filter runs
@@ -495,7 +518,8 @@ object HdQuery {
       val slot = triMemo(id)
       if ((slot & HighWord) == stamp) slot.toInt
       else {
-        val bits = java.lang.Float.floatToIntBits(triBound(dq, refdistsById(id)).toFloat)
+        val bits = java.lang.Float.floatToIntBits(
+          triBound(dq, chunks(id >>> Refdists.ChunkBits), (id & Refdists.ChunkMask) * m).toFloat)
         triMemo(id) = stamp | bits
         bits
       }
@@ -606,7 +630,7 @@ object HdQuery {
       while (t < model.trees.length) {
         val tree   = model.trees(t)
         val (s, e) = selectWindow(tree.keys, tree.curve.encodeVector(q, tree.fromDim, cfg.lo, cfg.hi), p.alpha)
-        kernel.filter(tree.ids, s, e)
+        kernel.filter(tree, s, e)
         pages += tree.queryPages(cfg, e - s)
         t += 1
       }

@@ -10,27 +10,33 @@ class HdQuerySpec extends SparkSpec {
 
   private def key1d(v: Long): Array[Byte] = Hilbert(1, 8).encode(Array(v))
 
+  /** Sorted keys of `width` bytes as a tree's keys, ids 0 until n, in leaf
+    * pages of `order` entries, so that windows and probes cross pages.
+    */
+  private def keyView(keys: Array[Array[Byte]], width: Int = 1, order: Int = 2): LocalTree.Keys =
+    LocalTree.load(0, 0, Hilbert(width, 8), order, keys.flatten, keys.indices.toArray).keys
+
   test("selectWindow picks the numerically nearest alpha keys") {
     val keys = Array(0L, 10L, 20L, 30L, 100L).map(key1d)
     // query at 22: nearest 3 are 20, 30, 10
-    val (s, e) = HdQuery.selectWindow(keys, key1d(22), 3)
+    val (s, e) = HdQuery.selectWindow(keyView(keys), key1d(22), 3)
     assert((s, e) == (1, 4))
   }
 
   test("selectWindow clamps at array boundaries") {
-    val keys = Array(10L, 20L, 30L).map(key1d)
+    val keys = keyView(Array(10L, 20L, 30L).map(key1d))
     assert(HdQuery.selectWindow(keys, key1d(0), 2) == (0, 2))
     assert(HdQuery.selectWindow(keys, key1d(255), 2) == (1, 3))
     assert(HdQuery.selectWindow(keys, key1d(15), 10) == (0, 3)) // alpha > n
   }
 
   test("selectWindow on empty keys returns empty range") {
-    assert(HdQuery.selectWindow(Array.empty, key1d(5), 4) == (0, 0))
+    assert(HdQuery.selectWindow(keyView(Array.empty), key1d(5), 4) == (0, 0))
   }
 
   test("selectWindow window is always contiguous of size min(alpha, n)") {
     val rng = new scala.util.Random(3)
-    val keys = Array.fill(50)(rng.nextInt(256).toLong).sorted.map(key1d)
+    val keys = keyView(Array.fill(50)(rng.nextInt(256).toLong).sorted.map(key1d), order = 4)
     for (_ <- 1 to 50) {
       val q = key1d(rng.nextInt(256).toLong)
       val (s, e) = HdQuery.selectWindow(keys, q, 7)
@@ -40,7 +46,7 @@ class HdQuerySpec extends SparkSpec {
   }
 
   test("selectWindow rejects a negative alpha") {
-    val keys = Array(10L, 20L, 30L).map(key1d)
+    val keys = keyView(Array(10L, 20L, 30L).map(key1d))
     intercept[IllegalArgumentException](HdQuery.selectWindow(keys, key1d(15), -1))
   }
 
@@ -59,7 +65,7 @@ class HdQuerySpec extends SparkSpec {
   }
 
   /** Index of the first key >= qkey in a sorted key array. */
-  private def lowerBound(keys: Array[Array[Byte]], qkey: Array[Byte]): Int = {
+  private def lowerBound(keys: collection.IndexedSeq[Array[Byte]], qkey: Array[Byte]): Int = {
     var lo = 0
     var hi = keys.length
     while (lo < hi) {
@@ -73,7 +79,7 @@ class HdQuerySpec extends SparkSpec {
     * entry at a time toward the numerically closer side, ties going left.
     * [[HdQuery.selectWindow]] must return the same (start, end).
     */
-  private def greedyWindow(keys: Array[Array[Byte]], qkey: Array[Byte], alpha: Int): (Int, Int) = {
+  private def greedyWindow(keys: collection.IndexedSeq[Array[Byte]], qkey: Array[Byte], alpha: Int): (Int, Int) = {
     val pos = lowerBound(keys, qkey)
     val dl = new Array[Byte](qkey.length)
     val dr = new Array[Byte](qkey.length)
@@ -126,8 +132,10 @@ class HdQuerySpec extends SparkSpec {
         case _ => draw()
       }
       val expect = greedyWindow(keys, qkey, alpha)
-      assert(HdQuery.selectWindow(keys, qkey, alpha) == expect,
-             s"width=$width n=$n alpha=$alpha query=${Hilbert.hex(qkey)}")
+      // pages of 1 to 5 entries
+      val order = 1 + (seed % 5).toInt
+      assert(HdQuery.selectWindow(keyView(keys, width, order), qkey, alpha) == expect,
+             s"width=$width n=$n alpha=$alpha order=$order query=${Hilbert.hex(qkey)}")
       val (s, e) = expect
       if (full && width == 128 && s < e && e < n) fullWidth += 1
       // a tie decided at the window's edge: keys(s) went in, keys(e) did not
@@ -156,10 +164,11 @@ class HdQuerySpec extends SparkSpec {
     }
     val keys = Array(key(q - d - 1), key(q - d), key(q + d), key(q + d + 1))
     val qkey = key(q)
-    assert(HdQuery.selectWindow(keys, qkey, 1) == (1, 2))
-    assert(HdQuery.selectWindow(keys, qkey, 2) == (1, 3))
-    assert(HdQuery.selectWindow(keys, qkey, 3) == (0, 3))
-    for (alpha <- 0 to 5) assert(HdQuery.selectWindow(keys, qkey, alpha) == greedyWindow(keys, qkey, alpha))
+    val view = keyView(keys, 128)
+    assert(HdQuery.selectWindow(view, qkey, 1) == (1, 2))
+    assert(HdQuery.selectWindow(view, qkey, 2) == (1, 3))
+    assert(HdQuery.selectWindow(view, qkey, 3) == (0, 3))
+    for (alpha <- 0 to 5) assert(HdQuery.selectWindow(view, qkey, alpha) == greedyWindow(keys, qkey, alpha))
   }
 
   // --- end-to-end ---------------------------------------------------------
@@ -258,9 +267,9 @@ class HdQuerySpec extends SparkSpec {
 
   test("with alpha = beta = gamma no bound is computed: a model without refdists answers as the real one") {
     // the same trees and references through the public constructor, as
-    // withRefs builds a model, but every refdist row null
+    // withRefs builds a model, but every refdist row empty, so reading one fails
     val noRefdists = new HdIndexModel(model.cfg, model.refIds, model.refs, model.refMatrix,
-                                      model.trees, new Array[Array[Float]](model.n))
+                                      model.trees, Refdists(0, Array.fill(model.n)(Array.emptyFloatArray)))
     for (alpha <- Seq(1, 64, 512, model.n + 5); qr <- queries) {
       val p = QueryParams(10, alpha, alpha, alpha)
       val (want, wantStats) = HdQuery.searchLocal(model, qr.vec, p, TestFixtures.getVec)
@@ -324,7 +333,7 @@ class HdQuerySpec extends SparkSpec {
       val tree = m.trees(t)
       val qkey = Hilbert(tree.width, cfg.omega).encodeVector(q, tree.fromDim, cfg.lo, cfg.hi)
       val (s, e) = greedyWindow(tree.keys, qkey, p.alpha)
-      val ids = java.util.Arrays.copyOfRange(tree.ids, s, e).map(_.toLong)
+      val ids = (s until e).map(tree.ids(_).toLong)
       val rd: Int => Array[Float] = i => m.refdistsById(ids(i).toInt)
       val n = ids.length
       val byTri = orderByBound(n, i => HdQuery.triBound(dq, rd(i)))
@@ -362,7 +371,7 @@ class HdQuerySpec extends SparkSpec {
     val refs = refIds.map(TestFixtures.tinyLocal(_))
     new HdIndexModel(model.cfg.copy(m = refs.length), refIds, refs,
                      Array.tabulate(refs.length, refs.length)((i, j) => Distance.l2(refs(i), refs(j))),
-                     model.trees, TestFixtures.tinyLocal.map(v => refs.map(r => Distance.l2(v, r).toFloat)))
+                     model.trees, Refdists(refs.length, TestFixtures.tinyLocal.map(v => refs.map(r => Distance.l2(v, r).toFloat))))
   }
 
   test("searchLocal equals the sort/Set/topK pipeline (answers and stats)") {
@@ -480,6 +489,30 @@ class HdQuerySpec extends SparkSpec {
     }
   }
 
+  /** Bytes the calling thread allocates per [[HdIndex.insert]] of each tiny
+    * query's vector into m itself, over 10 passes.
+    */
+  private def bytesPerInsert(m: HdIndexModel): Double = {
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val b0 = mx.getCurrentThreadAllocatedBytes
+    for (_ <- 1 to 10; q <- queries) HdIndex.insert(m, m.n, q.vec)
+    (mx.getCurrentThreadAllocatedBytes - b0).toDouble / (10 * queries.length)
+  }
+
+  test("bytes allocated per insert do not grow with n (tiny against 20 times its n)") {
+    // An insert copies one page per tree and the page and chunk directories.
+    // At 20 times n the directories hold (20 − 1) · 2000 / Ω ≈ 528 more
+    // pages per tree (Ω = 72; 8 B each in `pages` and `starts`) and ≈ 594
+    // more chunks (4 B each): ≈ 19 KB more. Copying every tree's keys and
+    // ids would cost τ · 8 B · 38 000 ≈ 1.2 MB more.
+    val runs = for (_ <- 1 to 4) yield (bytesPerInsert(model), bytesPerInsert(bigModel))
+    val small = runs.tail.map(_._1).min
+    val large = runs.tail.map(_._2).min
+    assert(math.abs(large - small) < 32 * 1024,
+           f"$small%.0f B per insert at n = ${model.n}, $large%.0f B at n = ${bigModel.n}")
+  }
+
   test("one thread interleaving models and settings answers as a fresh thread does") {
     val tau2 = HdIndex.build(spark, TestFixtures.tiny.data(spark), TestFixtures.tinyLocal,
                              HdIndex.configFor(TestFixtures.tiny).copy(tau = 2))
@@ -572,7 +605,7 @@ class HdQuerySpec extends SparkSpec {
       val q = queries(0).vec.clone()
       val vectors = TestFixtures.tinyLocal.map(_.clone())
       for (p <- Seq(params, ptoParams)) HdQuery.searchLocal(m, q, p, id => vectors(id.toInt))
-      (Seq[AnyRef](m, m.refdistsById, m.refMatrix, q) ++ vectors).map(new java.lang.ref.WeakReference[AnyRef](_))
+      (Seq[AnyRef](m, m.refdistsById, m.refdistsById.chunks, m.refMatrix, q) ++ vectors).map(new java.lang.ref.WeakReference[AnyRef](_))
     }
     val refs = queryAndForget()
     var tries = 0

@@ -104,7 +104,8 @@ class RdbTreeSpec extends SparkSpec {
   test("a tree inserts a new id after every equal key, at the first greater key") {
     val curve = Hilbert(1, 8)
     def key(v: Long) = curve.encode(Array(v))
-    val tree = LocalTree(0, 0, curve, Array(1L, 3L, 3L, 5L, 7L).map(key), Array(0, 1, 2, 3, 4))
+    // pages [1, 3] [3, 5] [7]
+    val tree = LocalTree.load(0, 0, curve, 2, Array(1L, 3L, 3L, 5L, 7L).flatMap(key), Array(0, 1, 2, 3, 4))
     for ((v, at) <- Seq(0L -> 0, 3L -> 3, 4L -> 3, 7L -> 5, 9L -> 5)) {
       val got = tree.inserted(key(v), 5)
       assert(got.ids.indexOf(5) == at && got.keys(at).sameElements(key(v)), s"key $v")
@@ -217,12 +218,12 @@ class RdbTreeSpec extends SparkSpec {
     assertReferenceOrder(m, local, "tiny twice")
   }
 
-  /** Each build that places objects by id fails on `data` with `message`:
-    * HD-Index's, and the five baselines' that place theirs through
-    * `Common.collectById`.
+  /** Each build that places objects by id fails on `data` and `local` with
+    * `message`: HD-Index's, and the five baselines' that place theirs
+    * through `Common.collectById`.
     */
-  private def assertBuildsFail(data: Dataset[VecRow], message: String): Unit = {
-    val local = TestFixtures.tinyLocal
+  private def assertBuildsFail(data: Dataset[VecRow], message: String,
+                               local: Array[Array[Float]] = TestFixtures.tinyLocal): Unit = {
     val builds = ("hdindex" -> (() => HdIndex.build(spark, data, local, model.cfg): Any)) +:
       Seq[AnnMethod](C2Lsh, Qalsh, Srs, IDistance, Pq).map(m =>
         m.getClass.getSimpleName -> (() => m.build(spark, spec, data, local): Any))
@@ -256,8 +257,7 @@ class RdbTreeSpec extends SparkSpec {
       local(id) = local(id).clone()
       local(id)(3) = Math.nextUp(local(id)(3))
     }
-    val e = intercept[IllegalArgumentException](HdIndex.build(spark, spec.data(spark), local, model.cfg))
-    assert(e.getMessage == "requirement failed: object 42 of data differs from localData")
+    assertBuildsFail(spec.data(spark), "requirement failed: object 42 of data differs from localData", local)
   }
 
   test("m = 0 builds the same trees with no references, and a negative m is rejected") {
